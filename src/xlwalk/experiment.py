@@ -23,7 +23,7 @@ import numpy as np
 
 from . import datahub, policy, swarm, topology, walker
 from .errors import ConfigError
-from .learner import TrainConfig, evaluate, init_model
+from .learner import MLP, SOFTMAX, TrainConfig, evaluate, init_model
 from .policy import (
     IMPORTANCE_DYNAMIC,
     IMPORTANCE_STATIC,
@@ -155,6 +155,17 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be at least 1")
         if self.iters_per_visit < 1:
             raise ConfigError("iters_per_visit must be at least 1")
+        lspec = self.learner
+        if lspec.arch not in (SOFTMAX, MLP):
+            raise ConfigError(f"unknown learner arch {lspec.arch!r}")
+        if lspec.arch == MLP and lspec.hidden < 1:
+            raise ConfigError("an mlp learner needs at least 1 hidden unit")
+        if lspec.batch_size < 1:
+            raise ConfigError("learner batch_size must be at least 1")
+        if lspec.learning_rate < 0:
+            raise ConfigError("learner learning_rate must be non-negative")
+        if lspec.l2 < 0:
+            raise ConfigError("learner l2 must be non-negative")
         if self.graph.kind not in ("caveman", "rgg"):
             raise ConfigError(f"unknown graph kind {self.graph.kind!r}")
         if self.partition.kind not in ("label_skew", "clique_dominant"):
@@ -409,16 +420,17 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
             return pol
         return swarm.clique_confined_policy(g, pol, drv.home_clique)
 
+    def refresh(idx: int, drv: _WalkerDriver) -> TransitionPolicy:
+        s.walkers[idx], pol = walker.perception_refresh(
+            s.walkers[idx], env.val_features, env.val_labels, imp_params,
+            env.partition.data_frac, env.partition.label_frac,
+            centrality_vec, g,
+        )
+        drv.alpha = policy.accuracy_scaled_alpha(s.walkers[idx].cached_accuracy, imp_params)
+        return confine(pol, drv)
+
     if dynamic:
-        policies = []
-        for idx, drv in enumerate(drivers):
-            s.walkers[idx], pol = walker.perception_refresh(
-                s.walkers[idx], env.val_features, env.val_labels, imp_params,
-                env.partition.data_frac, env.partition.label_frac,
-                centrality_vec, g,
-            )
-            drv.alpha = policy.accuracy_scaled_alpha(s.walkers[idx].cached_accuracy, imp_params)
-            policies.append(confine(pol, drv))
+        policies = [refresh(idx, drv) for idx, drv in enumerate(drivers)]
     else:
         shared = _base_policy(env, cfg)
         policies = [confine(shared, drv) for drv in drivers]
@@ -428,10 +440,22 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     collision_count = 0
     collision_intervals: list[int] = []
 
-    def record_eval(t: int) -> None:
+    def record_eval(t: int) -> list[tuple[float, float]]:
+        """Validation loss and accuracy per walker, logged as metric rows.
+
+        In dynamic mode every walker was just measured by its perception
+        refresh and its model has not changed since, so that result is reused.
+        """
+        out = []
         for idx, drv in enumerate(drivers):
-            loss, acc = evaluate(s.walkers[idx].im, env.val_features, env.val_labels)
+            w = s.walkers[idx]
+            if dynamic:
+                loss, acc = w.cached_loss, w.cached_accuracy
+            else:
+                loss, acc = evaluate(w.im, env.val_features, env.val_labels)
             rows.append((t, drv.wid, loss, acc, drv.cum_iters))
+            out.append((loss, acc))
+        return out
 
     record_eval(0)
 
@@ -528,25 +552,18 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
                            "trigger": "uplink", "walkers": list(ids),
                            "node": None, "weights": weights})
 
-        # 6. perception refresh
+        # 6. perception refresh: rebuilds only the row at each walker's position,
+        # the one row the next movement phase samples (nothing moves a walker in between)
         if dynamic:
             for idx, drv in enumerate(drivers):
-                s.walkers[idx], pol = walker.perception_refresh(
-                    s.walkers[idx], env.val_features, env.val_labels, imp_params,
-                    env.partition.data_frac, env.partition.label_frac,
-                    centrality_vec, g,
-                )
-                drv.alpha = policy.accuracy_scaled_alpha(s.walkers[idx].cached_accuracy, imp_params)
-                policies[idx] = confine(pol, drv)
+                policies[idx] = refresh(idx, drv)
                 tick_visits[idx]["alpha_inst"] = drv.alpha
 
         # 7. evaluation
         if t % cfg.eval_every == 0:
-            for idx, drv in enumerate(drivers):
-                loss, acc = evaluate(s.walkers[idx].im, env.val_features, env.val_labels)
-                rows.append((t, drv.wid, loss, acc, drv.cum_iters))
-                tick_visits[idx]["loss"] = loss
-                tick_visits[idx]["acc"] = acc
+            for ev, (loss, acc) in zip(tick_visits, record_eval(t)):
+                ev["loss"] = loss
+                ev["acc"] = acc
 
     last_t = max(r[0] for r in rows)
     final_acc = float(np.mean([r[3] for r in rows if r[0] == last_t]))
@@ -577,7 +594,10 @@ def thread_count() -> int:
     raw = os.environ.get("XLWALK_THREADS", "")
     if not raw:
         return 1
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"XLWALK_THREADS must be an integer, got {raw!r}") from None
     return os.cpu_count() or 1 if n == 0 else max(1, n)
 
 

@@ -2,8 +2,9 @@
 
 Two architectures share one flat parameter vector: multinomial softmax
 regression and a single tanh hidden layer. Training is plain mini-batch SGD
-on cross-entropy with optional L2; updates are functional so callers can
-keep multiple model copies without aliasing.
+on cross-entropy with optional L2. `sgd_steps` updates a private copy of the
+caller's parameters in place and returns it in a new model, so the caller's
+theta is never aliased and callers can keep multiple model copies.
 """
 from __future__ import annotations
 
@@ -127,6 +128,83 @@ def loss_and_grad(
     return float(loss), grad
 
 
+# Steps whose batches are drawn and gathered at once; bounds the gather buffers whatever k is.
+_CHUNK_STEPS = 64
+
+
+def _sgd_kernel(m: ModelParams, theta: np.ndarray, batch: int, cfg: TrainConfig):
+    """One in-place SGD step on theta, as a closure over preallocated buffers.
+
+    The step performs `loss_and_grad`'s floating-point operations in the same
+    order on the same operand layouts, so theta matches `theta -= lr * grad`
+    bit for bit. It skips only what the update does not read: the loss value.
+    """
+    grad = np.empty(theta.size)
+    if m.arch == SOFTMAX:
+        w_in = None
+        w_out = theta.reshape(m.n_classes, m.n_dims + 1)
+        g_out = grad.reshape(m.n_classes, m.n_dims + 1)
+    else:
+        cut = m.hidden * (m.n_dims + 1)
+        w_in = theta[:cut].reshape(m.hidden, m.n_dims + 1)
+        w_out = theta[cut:].reshape(m.n_classes, m.hidden + 1)
+        g_in = grad[:cut].reshape(m.hidden, m.n_dims + 1)
+        g_out = grad[cut:].reshape(m.n_classes, m.hidden + 1)
+        w_in_t, b_in = w_in[:, :-1].T, w_in[:, -1]
+        g_in_w, g_in_b = g_in[:, :-1], g_in[:, -1]
+        h = np.empty((batch, m.hidden))
+        back = np.empty((batch, m.hidden))
+        back_t = back.T
+        slope = np.empty((batch, m.hidden))
+    w_out_w, b_out = w_out[:, :-1], w_out[:, -1]
+    w_out_t = w_out_w.T
+    g_out_w, g_out_b = g_out[:, :-1], g_out[:, -1]
+    logits = np.empty((batch, m.n_classes))
+    scratch = np.empty((batch, m.n_classes))
+    probs = np.empty((batch, m.n_classes))
+    probs_t = probs.T
+    row = np.empty((batch, 1))
+    decay = np.empty(theta.size) if cfg.l2 > 0.0 else None
+    lr, l2, n = cfg.learning_rate, cfg.l2, float(batch)
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+
+    def step(x: np.ndarray, onehot: np.ndarray) -> None:
+        if w_in is None:
+            a = x
+        else:
+            matmul(x, w_in_t, out=h)
+            add(h, b_in, out=h)
+            np.tanh(h, out=h)
+            a = h
+        matmul(a, w_out_t, out=logits)
+        add(logits, b_out, out=logits)
+        np.maximum.reduce(logits, 1, None, row, True)  # _log_softmax, in place in logits
+        subtract(logits, row, out=logits)
+        np.exp(logits, out=scratch)
+        add.reduce(scratch, 1, None, row, True)
+        np.log(row, out=row)
+        subtract(logits, row, out=logits)
+        np.exp(logits, out=probs)
+        subtract(probs, onehot, out=probs)  # x - 0.0 == x, so only the label entries change
+        np.divide(probs, n, out=probs)
+        matmul(probs_t, a, out=g_out_w)
+        add.reduce(probs, 0, None, g_out_b)
+        if w_in is not None:
+            matmul(probs, w_out_w, out=back)
+            multiply(h, h, out=slope)
+            subtract(1.0, slope, out=slope)
+            multiply(back, slope, out=back)
+            matmul(back_t, x, out=g_in_w)
+            add.reduce(back, 0, None, g_in_b)
+        if decay is not None:
+            multiply(theta, l2, out=decay)
+            add(grad, decay, out=grad)
+        multiply(grad, lr, out=grad)
+        subtract(theta, grad, out=theta)
+
+    return step
+
+
 def sgd_steps(
     m: ModelParams,
     features: np.ndarray,
@@ -135,18 +213,27 @@ def sgd_steps(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> ModelParams:
-    """k mini-batch SGD steps; batches drawn with replacement from the local set."""
+    """k mini-batch SGD steps; batches drawn with replacement from the local set.
+
+    The result is bit-identical to k rounds of `rng.integers(0, n, size=B)`,
+    `loss_and_grad` and `theta -= lr * grad`, and leaves rng in the same
+    state: one `(steps, B)` draw per chunk yields the same index stream as
+    that many `B`-sized draws.
+    """
     if features.shape[0] == 0:
         raise ValueError("cannot train on an empty sample set")
     if k < 1:
         raise ConfigError("need at least one SGD step")
     theta = m.theta.copy()
-    model = replace(m, theta=theta)
+    batch = cfg.batch_size
+    step = _sgd_kernel(m, theta, batch, cfg)
+    classes = np.arange(m.n_classes)
     n = features.shape[0]
-    for _ in range(k):
-        batch = rng.integers(0, n, size=cfg.batch_size)
-        _, grad = loss_and_grad(model, features[batch], labels[batch], cfg.l2)
-        theta -= cfg.learning_rate * grad
+    for done in range(0, k, _CHUNK_STEPS):
+        idx = rng.integers(0, n, size=(min(_CHUNK_STEPS, k - done), batch))
+        onehots = (labels[idx][..., None] == classes).astype(np.float64)
+        for x, onehot in zip(features[idx], onehots):
+            step(x, onehot)
     return replace(m, theta=theta)
 
 

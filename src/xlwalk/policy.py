@@ -58,14 +58,25 @@ class ElasticParams:
 
 @dataclass(frozen=True)
 class TransitionPolicy:
-    """Per-node rows of (target ids ascending, probabilities summing to 1)."""
+    """Per-node rows of (target ids ascending, probabilities summing to 1).
+
+    Rows sit in tuples indexed by node, or in dicts keyed by node that may
+    hold only some rows: dynamic mode builds just the row at a walker's
+    position. Asking for a row the policy lacks raises KeyError.
+    """
 
     kind: str
-    targets: tuple[np.ndarray, ...]
-    probs: tuple[np.ndarray, ...]
+    targets: tuple[np.ndarray, ...] | dict[int, np.ndarray]
+    probs: tuple[np.ndarray, ...] | dict[int, np.ndarray]
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         return self.targets[node], self.probs[node]
+
+    def nodes(self) -> list[int]:
+        """Ids of the nodes whose rows this policy holds."""
+        if isinstance(self.targets, dict):
+            return list(self.targets)
+        return list(range(len(self.targets)))
 
 
 def node_importance(data_frac: float, label_frac: float, centrality: float, alpha: float) -> float:
@@ -102,30 +113,47 @@ def accuracy_scaled_alpha(accuracy: float, p: ImportanceParams) -> float:
     return min(max(alpha, p.alpha_min), p.alpha_max)
 
 
-def build_transition(g: Graph, importance: np.ndarray, kind: str = IMPORTANCE_STATIC) -> TransitionPolicy:
-    """Rows proportional to neighbor importance; all-zero rows fall back to uniform."""
+def _checked_importance(importance: np.ndarray) -> np.ndarray:
     importance = np.asarray(importance, dtype=np.float64)
     if (importance < 0).any():
         raise ConfigError("importance values must be non-negative")
-    targets: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    fallbacks = 0
-    for i in range(g.node_count):
-        nbrs = np.array(g.adjacency[i], dtype=np.int64)
-        if nbrs.size == 0:
-            raise ConfigError(f"node {i} has no neighbors")
-        weights = importance[nbrs]
-        total = weights.sum()
-        if total <= 0.0:
-            row = np.full(nbrs.size, 1.0 / nbrs.size)
-            fallbacks += 1
-        else:
-            row = weights / total
-        targets.append(nbrs)
-        probs.append(row)
+    return importance
+
+
+def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Neighbors of node ascending, their shares of the neighborhood's importance,
+    and whether the row fell back to uniform because that importance is zero.
+
+    importance must be a non-negative float64 vector over all nodes.
+    """
+    nbrs = np.array(g.adjacency[node], dtype=np.int64)
+    if nbrs.size == 0:
+        raise ConfigError(f"node {node} has no neighbors")
+    weights = importance[nbrs]
+    total = weights.sum()
+    if total <= 0.0:
+        return nbrs, np.full(nbrs.size, 1.0 / nbrs.size), True
+    return nbrs, weights / total, False
+
+
+def build_transition(g: Graph, importance: np.ndarray, kind: str = IMPORTANCE_STATIC) -> TransitionPolicy:
+    """Rows proportional to neighbor importance; all-zero rows fall back to uniform."""
+    importance = _checked_importance(importance)
+    rows = [transition_row(g, importance, i) for i in range(g.node_count)]
+    fallbacks = sum(fell_back for _, _, fell_back in rows)
     if fallbacks:
         logger.warning("%d zero-importance neighborhood(s) fell back to uniform rows", fallbacks)
-    return TransitionPolicy(kind=kind, targets=tuple(targets), probs=tuple(probs))
+    return TransitionPolicy(
+        kind=kind, targets=tuple(t for t, _, _ in rows), probs=tuple(p for _, p, _ in rows)
+    )
+
+
+def transition_at(g: Graph, importance: np.ndarray, node: int) -> TransitionPolicy:
+    """A dynamic-mode policy holding only node's row of `build_transition(g, importance)`."""
+    targets, probs, fell_back = transition_row(g, _checked_importance(importance), node)
+    if fell_back:
+        logger.warning("zero-importance neighborhood of node %d fell back to a uniform row", node)
+    return TransitionPolicy(kind=IMPORTANCE_DYNAMIC, targets={node: targets}, probs={node: probs})
 
 
 def uniform_transition(g: Graph) -> TransitionPolicy:

@@ -202,9 +202,9 @@ def clique_confined_policy(g: Graph, base: TransitionPolicy, walker_home: int) -
         raise ConfigError("confinement does not support rows with lazy self-loops")
     if not g.clique_members(walker_home):
         raise ConfigError(f"clique {walker_home} has no members")
-    targets: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    for i in range(g.node_count):
+    targets: dict[int, np.ndarray] = {}
+    probs: dict[int, np.ndarray] = {}
+    for i in base.nodes():
         t, p = base.row(i)
         keep = np.array([g.clique_of[int(j)] == g.clique_of[i] for j in t], dtype=bool)
         if not keep.any():
@@ -217,6 +217,6 @@ def clique_confined_policy(g: Graph, base: TransitionPolicy, walker_home: int) -
             p2 = np.full(t2.size, 1.0 / t2.size)
         else:
             p2 = p2 / total
-        targets.append(t2)
-        probs.append(p2)
-    return TransitionPolicy(kind=base.kind, targets=tuple(targets), probs=tuple(probs))
+        targets[i] = t2
+        probs[i] = p2
+    return TransitionPolicy(kind=base.kind, targets=targets, probs=probs)

@@ -3,8 +3,8 @@
 A walker owns two model copies: the instantaneous model it trains at every
 visited node, and a stale model it periodically blends back in to damp
 forgetting. In dynamic mode the walker re-evaluates itself after visits and
-rebuilds its transition policy from the accuracy-scaled importance mix,
-which makes the induced chain time-inhomogeneous.
+rebuilds the transition row it samples next from the accuracy-scaled
+importance mix, which makes the induced chain time-inhomogeneous.
 """
 from __future__ import annotations
 
@@ -16,12 +16,11 @@ import numpy as np
 from .errors import ConfigError
 from .learner import ModelParams, TrainConfig, evaluate, sgd_steps
 from .policy import (
-    IMPORTANCE_DYNAMIC,
     ImportanceParams,
     TransitionPolicy,
     accuracy_scaled_alpha,
-    build_transition,
     importance_vector,
+    transition_at,
 )
 from .topology import Graph
 
@@ -37,6 +36,7 @@ class WalkerState:
     jumps: int = 0
     samples_since_agg: int = 0
     samples_total: int = 0
+    cached_loss: float = 0.0  # validation loss and accuracy at the last perception refresh
     cached_accuracy: float = 0.0
 
     def __post_init__(self):
@@ -122,9 +122,14 @@ def perception_refresh(
     centrality: np.ndarray,
     g: Graph,
 ) -> tuple[WalkerState, TransitionPolicy]:
-    """Re-measure accuracy and rebuild the transition policy around it."""
-    _, accuracy = evaluate(w.im, val_features, val_labels)
+    """Re-measure the model and rebuild the transition row at the walker's position.
+
+    That row is the only one `step` reads before the next refresh, so the
+    returned policy holds just it. The state caches the measured loss and
+    accuracy.
+    """
+    loss, accuracy = evaluate(w.im, val_features, val_labels)
     alpha = accuracy_scaled_alpha(accuracy, params)
     imp = importance_vector(data_frac, label_frac, centrality, alpha, params.normalize_terms)
-    pol = build_transition(g, imp, kind=IMPORTANCE_DYNAMIC)
-    return replace(w, cached_accuracy=accuracy), pol
+    pol = transition_at(g, imp, w.position)
+    return replace(w, cached_loss=loss, cached_accuracy=accuracy), pol

@@ -102,6 +102,23 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_bad_batch_size_exits_one(self, tmp_path, capsys, batch_size):
+        doc = dict(SMALL_CONFIG, learner={"batch_size": batch_size})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "batch_size" in err["message"]
+
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("XLWALK_THREADS", "abc")
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "XLWALK_THREADS" in err["message"]
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -1,8 +1,10 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from xlwalk import learner, policy, walker
 from xlwalk.errors import ConfigError
 from xlwalk.experiment import (
     AttractionSpec,
@@ -24,7 +26,8 @@ from xlwalk.experiment import (
     simulate,
     summarize,
 )
-from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC
+from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC, ImportanceParams
+from xlwalk.swarm import clique_confined_policy
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -73,6 +76,21 @@ class TestConfig:
     def test_zero_jump_budget_rejected(self):
         with pytest.raises(ConfigError):
             small_config(jumps=0).validate()
+
+    @pytest.mark.parametrize("learner_spec", [
+        LearnerSpec(batch_size=0),
+        LearnerSpec(batch_size=-1),
+        LearnerSpec(learning_rate=-0.1),
+        LearnerSpec(l2=-0.01),
+        LearnerSpec(arch="cnn"),
+        LearnerSpec(arch="mlp", hidden=0),
+    ])
+    def test_bad_learner_rejected(self, learner_spec):
+        with pytest.raises(ConfigError, match="learner"):
+            small_config(learner=learner_spec).validate()
+
+    def test_softmax_ignores_hidden(self):
+        small_config(learner=LearnerSpec(arch="softmax", hidden=0)).validate()
 
     def test_clique_options_need_caveman(self):
         cfg = small_config(
@@ -183,6 +201,62 @@ class TestSimulation:
         res = run_single(cfg, seed=0)
         betas = [ev["beta"] for ev in res.events if ev["kind"] == "visit"]
         assert betas == [0.0, 0.0, 0.2, 0.2, 0.2, 0.4, 0.4, 0.4, 0.4]
+
+
+class TestDynamicModeWork:
+    """Dynamic mode evaluates each walker once per jump and builds one row per walker."""
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("kind", [IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC])
+    def test_evaluate_and_row_counts(self, monkeypatch, kind, eval_every):
+        counts = {"evaluate": 0, "rows": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        evaluate = counted("evaluate", learner.evaluate)
+        monkeypatch.setattr(walker, "evaluate", evaluate)
+        monkeypatch.setattr("xlwalk.experiment.evaluate", evaluate)
+        monkeypatch.setattr(policy, "transition_row", counted("rows", policy.transition_row))
+        cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10, eval_every=eval_every)
+        env = build_environment(cfg, seed=0)
+        counts.update(evaluate=0, rows=0)
+        simulate(env, cfg, seed=0)
+        if kind == IMPORTANCE_DYNAMIC:
+            assert counts == {"evaluate": 2 * (10 + 1), "rows": 2 * (10 + 1)}
+        else:
+            assert counts == {"evaluate": 2 * (1 + 10 // eval_every), "rows": env.graph.node_count}
+
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_sampled_rows_match_full_build(self, monkeypatch, confine):
+        cfg = small_config(policy=PolicySpec(kind=IMPORTANCE_DYNAMIC), walkers=2, jumps=20,
+                           eval_every=1, confine_cliques=confine)
+        env = build_environment(cfg, seed=0)
+        sampled = []
+        real_step = walker.step
+
+        def spy(w, pol, rng):
+            sampled.append((w.position, w.cached_accuracy, pol.row(w.position)))
+            return real_step(w, pol, rng)
+
+        monkeypatch.setattr(walker, "step", spy)
+        simulate(env, cfg, seed=0)
+        assert len(sampled) == 2 * 20
+        g, part = env.graph, env.partition
+        for position, accuracy, (targets, probs) in sampled:
+            alpha = policy.accuracy_scaled_alpha(accuracy, ImportanceParams())
+            imp = policy.importance_vector(
+                part.data_frac, part.label_frac, np.array(env.centrality.normalized), alpha
+            )
+            full = policy.build_transition(g, imp)
+            if confine:  # confined walkers never leave their home clique here
+                full = clique_confined_policy(g, full, g.clique_of[position])
+            want_targets, want_probs = full.row(position)
+            assert np.array_equal(targets, want_targets)
+            assert np.array_equal(probs, want_probs)
 
 
 class TestNonInteraction:

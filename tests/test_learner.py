@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xlwalk.errors import ConfigError
 from xlwalk.learner import (
+    _CHUNK_STEPS,
     ModelParams,
     TrainConfig,
     evaluate,
@@ -112,6 +114,51 @@ class TestSgd:
         m = init_model("softmax", 5, 3, seed=1)
         with pytest.raises(ValueError):
             sgd_steps(m, np.empty((0, 5)), np.empty(0, dtype=int), 1, TrainConfig(), np.random.default_rng(0))
+
+
+def reference_sgd_steps(m, features, labels, k, cfg, rng):
+    """The per-step loop the fused kernels must reproduce bit for bit."""
+    theta = m.theta.copy()
+    model = replace(m, theta=theta)
+    n = features.shape[0]
+    for _ in range(k):
+        batch = rng.integers(0, n, size=cfg.batch_size)
+        _, grad = loss_and_grad(model, features[batch], labels[batch], cfg.l2)
+        theta -= cfg.learning_rate * grad
+    return replace(m, theta=theta)
+
+
+class TestFusedKernelMatchesReference:
+    """Same theta bytes and same generator state as the per-step reference loop."""
+
+    @pytest.mark.parametrize("n", [1, 500])
+    @pytest.mark.parametrize("batch", [1, 31, 32])
+    @pytest.mark.parametrize("k", [1, 7, 30, 2 * _CHUNK_STEPS + 5])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("arch", ["softmax", "mlp"])
+    def test_bit_identical(self, arch, l2, k, batch, n):
+        x, y = make_batch(n, 12, 5, seed=n + batch)
+        m = init_model(arch, 12, 5, seed=1, hidden=9)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=batch, l2=l2)
+        fused_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        fused = sgd_steps(m, x, y, k, cfg, fused_rng)
+        ref = reference_sgd_steps(m, x, y, k, cfg, ref_rng)
+        assert np.array_equal(fused.theta, ref.theta)
+        assert fused_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("arch", ["softmax", "mlp"])
+    def test_interleaved_draws(self, arch):
+        """Other draws between calls see the generator exactly where the reference leaves it."""
+        x, y = make_batch(300, 12, 5, seed=2)
+        fused = ref = init_model(arch, 12, 5, seed=1, hidden=9)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=31)
+        fused_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for k in (3, 7, 1, 70, 5):
+            fused = sgd_steps(fused, x, y, k, cfg, fused_rng)
+            ref = reference_sgd_steps(ref, x, y, k, cfg, ref_rng)
+            assert fused_rng.random() == ref_rng.random()
+        assert np.array_equal(fused.theta, ref.theta)
+        assert fused_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEvaluate:

@@ -172,39 +172,50 @@ def world():
 
 class TestPerception:
 
+    # perception_refresh builds only the row at the walker's position, so each
+    # check below walks the walker over every node to cover every row.
+
     def test_accuracy_bounds_match_static_policies(self, world, monkeypatch):
         g, d, l, c, val_x, val_y = world
         params = ImportanceParams()
         for acc, alpha in [(0.1, 0.10), (0.8, 0.85)]:
             monkeypatch.setattr("xlwalk.walker.evaluate", lambda *a, acc=acc: (0.5, acc))
-            w = fresh_walker()
-            out, pol = perception_refresh(w, val_x, val_y, params, d, l, c, g)
-            assert out.cached_accuracy == acc
             static = build_transition(
                 g, importance_vector(d, l, c, alpha, True), kind=IMPORTANCE_STATIC
             )
             for i in range(g.node_count):
+                out, pol = perception_refresh(fresh_walker(position=i), val_x, val_y, params, d, l, c, g)
+                assert out.cached_accuracy == acc
+                assert out.cached_loss == 0.5
+                assert pol.nodes() == [i]
+                assert np.array_equal(pol.row(i)[0], static.row(i)[0])
                 assert np.allclose(pol.row(i)[1], static.row(i)[1], atol=1e-15)
 
     def test_equal_accuracy_gives_identical_policies(self, world):
         g, d, l, c, val_x, val_y = world
-        w = fresh_walker()
-        _, pol_a = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
-        _, pol_b = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
         for i in range(g.node_count):
+            w = fresh_walker(position=i)
+            _, pol_a = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
+            _, pol_b = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
             assert np.array_equal(pol_a.row(i)[1], pol_b.row(i)[1])
 
     def test_constant_stub_degenerates_to_static(self, world, monkeypatch):
         g, d, l, c, val_x, val_y = world
         monkeypatch.setattr("xlwalk.walker.evaluate", lambda *a: (0.5, 0.42))
-        w = fresh_walker()
-        policies = []
-        for _ in range(3):
-            w, pol = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
-            policies.append(pol)
-        for pol in policies[1:]:
-            for i in range(g.node_count):
+        for i in range(g.node_count):
+            w = fresh_walker(position=i)
+            policies = []
+            for _ in range(3):
+                w, pol = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
+                policies.append(pol)
+            for pol in policies[1:]:
                 assert np.array_equal(pol.row(i)[1], policies[0].row(i)[1])
+
+    def test_other_rows_are_not_built(self, world):
+        g, d, l, c, val_x, val_y = world
+        _, pol = perception_refresh(fresh_walker(position=3), val_x, val_y, ImportanceParams(), d, l, c, g)
+        with pytest.raises(KeyError):
+            pol.row(4)
 
     def test_stale_model_never_read_when_memory_disabled(self):
         """Training with a corrupted stale copy gives an identical IM path."""
