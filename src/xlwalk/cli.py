@@ -111,7 +111,14 @@ def _cmd_report(args) -> int:
     metrics_path = Path(args.in_dir) / "metrics.csv"
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.csv under {args.in_dir}")
-    records = metrics_from_csv(metrics_path.read_text())
+    events_path = Path(args.in_dir) / "events.jsonl"
+    try:
+        events = None
+        if events_path.exists():
+            events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        records = metrics_from_csv(metrics_path.read_text(), events)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"malformed run outputs under {args.in_dir}: {exc!r}") from None
     (Path(args.in_dir) / "summary.csv").write_text(summarize(records))
     return 0
 
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-config", action="store_true", help="print the full configs and exit")
     p.set_defaults(func=_cmd_preset)
 
-    p = sub.add_parser("report", help="rebuild summary.csv from an output directory")
+    p = sub.add_parser("report", help="rebuild summary.csv from metrics.csv and events.jsonl")
     p.add_argument("--in", dest="in_dir", required=True)
     p.set_defaults(func=_cmd_report)
 

@@ -16,8 +16,11 @@ import csv
 import io
 import logging
 import os
+import types
+import typing
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -181,6 +184,8 @@ class ExperimentConfig:
             raise ConfigError("clique-based options require a caveman graph")
         if self.start not in ("random", "per_clique"):
             raise ConfigError(f"unknown start mode {self.start!r}")
+        if self.rendezvous.enabled and self.rendezvous.every < 1:
+            raise ConfigError("rendezvous every must be at least 1")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -189,42 +194,47 @@ class ExperimentConfig:
         return doc
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    def sub(cls, key):
-        payload = dict(doc.get(key, {}))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown {key} option(s): {sorted(unknown)}")
-        return cls(**payload)
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
-    mem = dict(doc.get("memory", {}))
-    mem["schedule"] = tuple(tuple(stage) for stage in mem.get("schedule", ()))
-    top_known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(doc) - top_known
+
+def _typed(value, tp, name: str):
+    """`value` checked against the field type `tp`, with JSON lists made tuples."""
+    if is_dataclass(tp):
+        return _from_dict(tp, value, name)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:  # `T | None`
+        if value is None:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        return _typed(value, tp, name)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{name} must have {len(args)} entries, got {value!r}")
+        return tuple(_typed(v, t, f"{name}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    # bool is an int subclass, and JSON integers are valid numbers
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    return value
+
+
+def _from_dict(cls, doc, name: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown config option(s): {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        name=doc.get("name", "run"),
-        series=doc.get("series", ""),
-        graph=sub(GraphSpec, "graph"),
-        data=sub(DataSpec, "data"),
-        partition=sub(PartitionSpec, "partition"),
-        learner=sub(LearnerSpec, "learner"),
-        policy=sub(PolicySpec, "policy"),
-        elastic=sub(ElasticSpec, "elastic"),
-        iters_per_visit=doc.get("iters_per_visit", 5),
-        walkers=doc.get("walkers", 1),
-        start=doc.get("start", "random"),
-        memory=MemorySpec(**mem),
-        attraction=sub(AttractionSpec, "attraction"),
-        rendezvous=sub(RendezvousSpec, "rendezvous"),
-        confine_cliques=doc.get("confine_cliques", False),
-        uplink=doc.get("uplink", False),
-        jumps=doc.get("jumps", 400),
-        eval_every=doc.get("eval_every", 1),
-        seeds=tuple(doc.get("seeds", (0,))),
-    )
+        raise ConfigError(f"unknown {name} option(s): {sorted(unknown)}")
+    return cls(**{key: _typed(value, hints[key], f"{name}.{key}") for key, value in doc.items()})
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Load a config from its JSON form: every field type-checked, absent ones defaulted."""
+    cfg = _from_dict(ExperimentConfig, doc, "config")
     cfg.validate()
     return cfg
 
@@ -395,6 +405,10 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     """
     cfg.validate()
     g = env.graph
+    if cfg.rendezvous.enabled and not 0 <= cfg.rendezvous.node < g.node_count:
+        raise ConfigError(
+            f"rendezvous node {cfg.rendezvous.node} is not in the {g.node_count}-node graph"
+        )
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
     run_id = f"{cfg.series_label}:{seed}"
     train_cfg = TrainConfig(cfg.learner.learning_rate, cfg.learner.batch_size, cfg.learner.l2)
@@ -715,8 +729,37 @@ def summarize(records: list[MetricsRecord]) -> str:
     return out.getvalue()
 
 
-def metrics_from_csv(text: str) -> list[MetricsRecord]:
-    """Rebuild records from a metrics.csv produced by metrics_to_csv."""
+def _collisions_from_events(events: Iterable[dict]) -> dict[str, tuple[int, list[int]]]:
+    """Replay co-location collisions per run id: their count and pair intervals.
+
+    A pair's interval is the jump of the collision minus the last jump at
+    which both walkers took part in a collide (co-location or uplink) or
+    rendezvous event, or 0 if they never did; this is the pair clock the
+    simulation logs.
+    """
+    last: dict[tuple[str, int, int], int] = {}
+    out: dict[str, tuple[int, list[int]]] = {}
+    for ev in events:
+        if ev["kind"] not in ("collide", "rendezvous"):
+            continue
+        run_id, t, ids = ev["run_id"], ev["t"], ev["walkers"]
+        keys = [(run_id, min(r, q), max(r, q)) for i, r in enumerate(ids) for q in ids[i + 1:]]
+        if ev.get("trigger") == "colocation":
+            count, intervals = out.get(run_id, (0, []))
+            intervals.extend(t - last.get(key, 0) for key in keys)
+            out[run_id] = (count + 1, intervals)
+        for key in keys:
+            last[key] = t
+    return out
+
+
+def metrics_from_csv(text: str, events: Iterable[dict] | None = None) -> list[MetricsRecord]:
+    """Rebuild records from a metrics.csv produced by metrics_to_csv.
+
+    metrics.csv holds no collisions: they are replayed from the run's events
+    when given, and left empty otherwise.
+    """
+    collisions = _collisions_from_events(events or [])
     reader = csv.DictReader(io.StringIO(text))
     grouped: dict[tuple[str, int], list[tuple]] = {}
     for line in reader:
@@ -729,14 +772,15 @@ def metrics_from_csv(text: str) -> list[MetricsRecord]:
     for (series, seed), rows in sorted(grouped.items()):
         last_t = max(r[0] for r in rows)
         final = float(np.mean([r[3] for r in rows if r[0] == last_t]))
+        count, intervals = collisions.get(f"{series}:{seed}", (0, []))
         records.append(
             MetricsRecord(
                 series=series,
                 seed=seed,
                 walker_ids=sorted({r[1] for r in rows}),
                 rows=rows,
-                collision_count=0,
-                collision_intervals=[],
+                collision_count=count,
+                collision_intervals=intervals,
                 final_accuracy=final,
             )
         )

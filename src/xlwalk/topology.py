@@ -1,9 +1,10 @@
 """Network graphs the walkers move on.
 
 Provides two generators (connected caveman and random geometric graph),
-betweenness centrality, and a shortest-path steering primitive. Graphs are
-immutable once built; node ids are consecutive integers starting at 0 and
-every adjacency list is sorted ascending.
+exact, order-independent betweenness centrality computed on integers, and a
+shortest-path steering primitive. Graphs are immutable once built; node ids
+are consecutive integers starting at 0 and every adjacency list is sorted
+ascending.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -165,43 +165,63 @@ def gen_rgg(n_nodes: int, radius: float, seed: int, max_retries: int = 100) -> G
 
 
 def _bfs_shortest_paths(g: Graph, source: int):
-    """Distances, path counts, and predecessor lists for one BFS source."""
+    """Distances, path counts, and predecessor lists for one BFS source.
+
+    `order` lists the reached nodes by nondecreasing distance; it doubles as
+    the BFS queue, so each node is expanded after all its predecessors.
+    """
     dist = [-1] * g.node_count
     sigma = [0] * g.node_count
     preds: list[list[int]] = [[] for _ in range(g.node_count)]
     dist[source] = 0
     sigma[source] = 1
-    order = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    order = [source]
+    for v in order:
+        d_next = dist[v] + 1
+        sigma_v = sigma[v]
         for w in g.adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
+            d_w = dist[w]
+            if d_w < 0:
+                dist[w] = d_w = d_next
+                order.append(w)
+            if d_w == d_next:
+                sigma[w] += sigma_v
                 preds[w].append(v)
     return dist, sigma, preds, order
 
 
 def betweenness(g: Graph) -> Centrality:
-    """Brandes betweenness over unordered node pairs.
+    """Brandes betweenness over unordered node pairs: exact, order-independent.
 
-    The dependency accumulation runs on exact rationals, so results are
-    reproducible to the last bit and independent of summation order.
+    Runs on Python integers. For source s let L be the lcm of the path counts
+    sigma; D[w] = L * delta[w] is then an integer, and Brandes' update
+    delta[v] += sigma[v] / sigma[w] * (1 + delta[w]) becomes
+    D[v] += sigma[v] * ((L + D[w]) // sigma[w]). The division is exact:
+    L * (1 + delta[w]) / sigma[w] is a sum of terms L * sigma_wt / sigma_st.
+    Sources are summed over the common denominator C, the lcm of their L, and
+    each total is divided by 2C once. int/int division rounds correctly, so
+    each value is its exact rational rounded once, the same to the last bit
+    in any summation order.
     """
-    acc = [Fraction(0)] * g.node_count
+    acc = [0] * g.node_count  # sum over ordered pairs, times denom
+    denom = 1
     for s in range(g.node_count):
         _, sigma, preds, order = _bfs_shortest_paths(g, s)
-        delta = [Fraction(0)] * g.node_count
+        lcm = math.lcm(*[sigma[w] for w in order])
+        dep = [0] * g.node_count
         for w in reversed(order):
+            coeff = (lcm + dep[w]) // sigma[w]
             for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                dep[v] += sigma[v] * coeff
+        if denom % lcm:
+            grown = math.lcm(denom, lcm)
+            acc = [a * (grown // denom) for a in acc]
+            denom = grown
+        scale = denom // lcm
+        for w in order:
             if w != s:
-                acc[w] += delta[w]
-    raw = tuple(float(a / 2) for a in acc)  # each unordered pair was visited twice
+                acc[w] += dep[w] * scale
+    raw = tuple(a / (2 * denom) for a in acc)  # each unordered pair was visited twice
     top = max(raw)
     if top > 0.0:
         normalized = tuple(v / top for v in raw)

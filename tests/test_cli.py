@@ -21,6 +21,17 @@ SMALL_CONFIG = {
 }
 
 
+# four attracted walkers on a caveman graph: co-location collisions happen
+MULTI_WALKER = {
+    "partition": {"kind": "clique_dominant", "dominance": 1.0},
+    "policy": {"kind": "uniform"},
+    "walkers": 4,
+    "start": "per_clique",
+    "attraction": {"enabled": True, "strength": 0.2, "base_coeff": 0.05, "cooldown_max": 3},
+    "jumps": 60,
+}
+
+
 def write_config(tmp_path, doc=None):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc or SMALL_CONFIG))
@@ -119,6 +130,44 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert "XLWALK_THREADS" in err["message"]
 
+    @pytest.mark.parametrize("node", [12, 99, -1])
+    def test_rendezvous_node_outside_graph_exits_one(self, tmp_path, capsys, node):
+        doc = dict(SMALL_CONFIG, walkers=2, rendezvous={"enabled": True, "node": node})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "rendezvous node" in err["message"]
+
+    @pytest.mark.parametrize("override,message", [
+        ({"walkers": "2"}, "config.walkers must be an integer"),
+        ({"walkers": True}, "config.walkers must be an integer"),
+        ({"jumps": 20.0}, "config.jumps must be an integer"),
+        ({"uplink": 1}, "config.uplink must be true or false"),
+        ({"name": 3}, "config.name must be a string"),
+        ({"seeds": [0, "1"]}, "config.seeds[1] must be an integer"),
+        ({"seeds": 2}, "config.seeds must be a list"),
+        ({"learner": {"batch_size": "8"}}, "config.learner.batch_size must be an integer"),
+        ({"policy": {"alpha": True}}, "config.policy.alpha must be a number"),
+        ({"graph": {"kind": "rgg", "nodes": 12, "radius": "0.3"}}, "config.graph.radius must be a number"),
+        ({"graph": "caveman"}, "config.graph must be an object"),
+        ({"memory": {"enabled": True, "schedule": [[0, 0.1, 2]]}}, "config.memory.schedule[0] must have 2 entries"),
+        ({"memory": {"enabled": True, "schedule": [["0", 0.1]]}}, "config.memory.schedule[0][0] must be an integer"),
+        ({"rendezvous": {"enabled": True, "every": 0}}, "rendezvous every must be at least 1"),
+    ])
+    def test_bad_field_exits_one(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, **override))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(message)
+
+    def test_config_not_an_object_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -167,11 +216,43 @@ class TestReport:
         original = (out / "summary.csv").read_text()
         (out / "summary.csv").unlink()
         assert main(["report", "--in", str(out)]) == 0
-        rebuilt = (out / "summary.csv").read_text()
-        # the report path drops collision tables (not in metrics.csv) but the
-        # accuracy and iteration curves must reproduce exactly
-        for line in rebuilt.splitlines()[1:]:
-            assert line in original
+        assert (out / "summary.csv").read_text() == original
+
+    def test_reproduces_preset_collision_tables(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["preset", "fig6", "--seeds", "1", "--out", str(out)]) == 0
+        original = (out / "summary.csv").read_bytes()
+        assert original.count(b"collision_interval") == 3
+        assert main(["report", "--in", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == original
+
+    @pytest.mark.parametrize("options", [
+        {"rendezvous": {"enabled": True, "every": 7, "node": 3}},
+        {"uplink": True},
+        {"rendezvous": {"enabled": True, "every": 7, "node": 3}, "uplink": True},
+    ])
+    def test_reproduces_collisions_with_rendezvous_and_uplink(self, tmp_path, options):
+        doc = dict(SMALL_CONFIG, **MULTI_WALKER, **options)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        original = (out / "summary.csv").read_bytes()
+        assert b"collision_interval" in original
+        assert main(["report", "--in", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == original
+
+    @pytest.mark.parametrize("name,text", [
+        ("events.jsonl", "{not json\n"),
+        ("events.jsonl", '{"kind": "collide"}\n'),
+        ("events.jsonl", "[1, 2]\n"),
+        ("metrics.csv", "series,seed\nx,1\n"),
+        ("metrics.csv", "series,seed,t,walker,loss,acc,cum_iters\nx,one,0,0,1.0,0.5,0\n"),
+    ])
+    def test_malformed_outputs_exit_one(self, tmp_path, capsys, name, text):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        (out / name).write_text(text)
+        assert main(["report", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "nope")]) == 1

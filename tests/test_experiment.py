@@ -73,6 +73,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="temperature"):
             config_from_dict(doc)
 
+    def test_integers_and_null_accepted_where_allowed(self):
+        cfg = config_from_dict({"policy": {"alpha": 1}, "graph": {"radius": None},
+                                "memory": {"schedule": [[0, 0], [5, 0.5]]}})
+        assert cfg.policy.alpha == 1
+        assert cfg.graph.radius is None
+        assert cfg.memory.schedule == ((0, 0), (5, 0.5))
+
     def test_zero_jump_budget_rejected(self):
         with pytest.raises(ConfigError):
             small_config(jumps=0).validate()

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from xlwalk.errors import ConfigError, GenerationError
+from xlwalk.experiment import build_environment
+from xlwalk.presets import PRESETS, preset_configs
 from xlwalk.topology import (
+    Centrality,
     Graph,
     betweenness,
     gen_connected_caveman,
@@ -46,6 +49,38 @@ def brute_force_betweenness(g):
             for v, c in through.items():
                 raw[v] += Fraction(c, len(paths))
     return [float(x) for x in raw]
+
+
+def reference_betweenness(g):
+    """Brandes' accumulation on exact rationals, which `betweenness` must match bit for bit."""
+    acc = [Fraction(0)] * g.node_count
+    for s in range(g.node_count):
+        sigma = [0] * g.node_count
+        preds = [[] for _ in range(g.node_count)]
+        dist = {s: 0}
+        sigma[s] = 1
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in g.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [Fraction(0)] * g.node_count
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if w != s:
+                acc[w] += delta[w]
+    raw = tuple(float(a / 2) for a in acc)
+    top = max(raw)
+    normalized = tuple(v / top for v in raw) if top > 0.0 else raw
+    return Centrality(raw=raw, normalized=normalized)
 
 
 def bfs_dist(g, s):
@@ -173,6 +208,39 @@ class TestBetweenness:
             n = int(rng.integers(4, 13))
             g = random_connected_graph(n, float(rng.uniform(0.25, 0.7)), rng)
             assert list(betweenness(g).raw) == brute_force_betweenness(g)
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            g = random_connected_graph(n, float(rng.uniform(0.15, 0.6)), rng)
+            assert betweenness(g) == reference_betweenness(g)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_preset_worlds(self, name, seed):
+        env = build_environment(preset_configs(name, 1)[0], seed)  # a preset's series share one world
+        assert env.centrality == reference_betweenness(env.graph)
+
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    def test_matches_reference_on_rgg(self, n):
+        g = gen_rgg(n, default_rgg_radius(n), n)
+        assert betweenness(g) == reference_betweenness(g)
+
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    def test_close_to_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(n)
+        graphs = [gen_rgg(n, default_rgg_radius(n), 4)]
+        graphs += [random_connected_graph(int(rng.integers(8, 60)), 0.25, rng) for _ in range(5)]
+        for g in graphs:
+            nx_graph = nx.Graph()
+            nx_graph.add_nodes_from(range(g.node_count))
+            nx_graph.add_edges_from(g.edges())
+            expected = nx.betweenness_centrality(nx_graph, normalized=False)
+            assert betweenness(g).raw == pytest.approx(
+                [expected[v] for v in range(g.node_count)], rel=1e-9, abs=0.0
+            )
 
     def test_normalization_preserves_argmax_and_order(self):
         rng = np.random.default_rng(7)
