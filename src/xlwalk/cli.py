@@ -15,7 +15,9 @@ from pathlib import Path
 from . import datahub, topology
 from .errors import ConfigError, GenerationError
 from .experiment import (
+    GraphSpec,
     RunResult,
+    build_graph,
     config_from_dict,
     metrics_from_csv,
     metrics_to_csv,
@@ -37,12 +39,9 @@ def _write_outputs(results: list[RunResult], out_dir: Path) -> None:
 
 
 def _cmd_gen_graph(args) -> int:
-    if args.kind == "caveman":
-        g = topology.gen_connected_caveman(args.cliques, args.nodes, args.seed)
-    else:
-        radius = args.radius or topology.default_rgg_radius(args.nodes)
-        g = topology.gen_rgg(args.nodes, radius, args.seed, args.max_retries)
-    text = topology.graph_to_json(g)
+    spec = GraphSpec(kind=args.kind, nodes=args.nodes, cliques=args.cliques,
+                     radius=args.radius, max_retries=args.max_retries)
+    text = topology.graph_to_json(build_graph(spec, args.seed))
     if args.out:
         Path(args.out).write_text(text)
     else:

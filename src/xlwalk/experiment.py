@@ -259,7 +259,7 @@ def set_config_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig
 # Environment and run records
 
 
-@dataclass
+@dataclass(eq=False)  # identity semantics: field-wise == is ambiguous on arrays
 class Environment:
     graph: topology.Graph
     centrality: topology.Centrality
@@ -271,14 +271,17 @@ class Environment:
     val_labels: np.ndarray
 
 
+def build_graph(gspec: GraphSpec, seed: int) -> topology.Graph:
+    """The caveman or random-geometric graph a spec describes, at one seed."""
+    if gspec.kind == "caveman":
+        return topology.gen_connected_caveman(gspec.cliques, gspec.nodes, seed)
+    radius = gspec.radius or topology.default_rgg_radius(gspec.nodes)
+    return topology.gen_rgg(gspec.nodes, radius, seed, gspec.max_retries)
+
+
 def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
     cfg.validate()
-    gspec = cfg.graph
-    if gspec.kind == "caveman":
-        g = topology.gen_connected_caveman(gspec.cliques, gspec.nodes, seed)
-    else:
-        radius = gspec.radius or topology.default_rgg_radius(gspec.nodes)
-        g = topology.gen_rgg(gspec.nodes, radius, seed, gspec.max_retries)
+    g = build_graph(cfg.graph, seed)
     ds = datahub.gen_synthetic(
         cfg.data.classes, cfg.data.dims, cfg.data.per_class, cfg.data.val_frac, cfg.data.sep, seed
     )
@@ -459,14 +462,20 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
 
         In dynamic mode every walker was just measured by its perception
         refresh and its model has not changed since, so that result is reused.
+        Otherwise walkers that hold the same model object, as every member
+        does after a collision until it trains again, share one evaluation;
+        models are never written in place.
         """
         out = []
+        scored: dict[int, tuple[float, float]] = {}  # id(model) -> (loss, acc)
         for idx, drv in enumerate(drivers):
             w = s.walkers[idx]
             if dynamic:
                 loss, acc = w.cached_loss, w.cached_accuracy
             else:
-                loss, acc = evaluate(w.im, env.val_features, env.val_labels)
+                if id(w.im) not in scored:
+                    scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
+                loss, acc = scored[id(w.im)]
             rows.append((t, drv.wid, loss, acc, drv.cum_iters))
             out.append((loss, acc))
         return out
@@ -599,11 +608,6 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     return simulate(env, cfg, seed)
 
 
-def _run_cell(args: tuple[dict, int]) -> RunResult:
-    doc, seed = args
-    return run_single(config_from_dict(doc), seed)
-
-
 def thread_count() -> int:
     raw = os.environ.get("XLWALK_THREADS", "")
     if not raw:
@@ -615,22 +619,53 @@ def thread_count() -> int:
     return os.cpu_count() or 1 if n == 0 else max(1, n)
 
 
+def _world_key(cfg: ExperimentConfig, seed: int) -> tuple:
+    return (cfg.graph, cfg.data, cfg.partition, seed)
+
+
+def _run_world_ordered(cells: list[tuple[ExperimentConfig, int]]) -> list[RunResult]:
+    """Simulate cells that come grouped by world, building each world once.
+
+    One world is alive at a time: the previous one is released before the
+    next is built.
+    """
+    results = []
+    env, key = None, None
+    for cfg, seed in cells:
+        if _world_key(cfg, seed) != key:
+            env = None  # drop the old world before the new one is built
+            key = _world_key(cfg, seed)
+            env = build_environment(cfg, seed)
+        results.append(simulate(env, cfg, seed))
+    return results
+
+
 def run_many(cells: list[tuple[ExperimentConfig, int]], threads: int | None = None) -> list[RunResult]:
-    """Run (config, seed) cells, possibly in parallel; output order fixed by input."""
+    """Run (config, seed) cells world by world, possibly in parallel; output order fixed by input.
+
+    Cells are ordered by world (graph, data, partition, seed) in order of
+    first appearance, so series that share a world run back to back on one
+    build. With several workers each takes a contiguous slice of that order
+    and builds each world in its slice once.
+    """
     threads = thread_count() if threads is None else threads
-    if threads <= 1 or len(cells) <= 1:
-        # Series within a suite share the same world; build each environment once.
-        envs: dict[tuple, Environment] = {}
-        results = []
-        for cfg, seed in cells:
-            key = (cfg.graph, cfg.data, cfg.partition, seed)
-            if key not in envs:
-                envs[key] = build_environment(cfg, seed)
-            results.append(simulate(envs[key], cfg, seed))
-        return results
-    payload = [(cfg.to_dict(), seed) for cfg, seed in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_cell, payload))
+    first: dict[tuple, int] = {}
+    for cfg, seed in cells:
+        first.setdefault(_world_key(cfg, seed), len(first))
+    order = sorted(range(len(cells)), key=lambda i: first[_world_key(*cells[i])])
+    ordered = [cells[i] for i in order]
+    workers = min(threads, len(cells))
+    if workers <= 1:
+        done = _run_world_ordered(ordered)
+    else:
+        bounds = [len(ordered) * i // workers for i in range(workers + 1)]
+        slices = [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = [res for part in pool.map(_run_world_ordered, slices) for res in part]
+    results: list[RunResult] = [None] * len(cells)
+    for i, res in zip(order, done):
+        results[i] = res
+    return results
 
 
 def run_sweep(

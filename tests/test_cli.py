@@ -4,7 +4,8 @@ import pytest
 
 from xlwalk.cli import main
 from xlwalk.datahub import load_dataset
-from xlwalk.topology import graph_from_json
+from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
+from xlwalk.topology import graph_from_json, graph_to_json
 
 
 SMALL_CONFIG = {
@@ -55,6 +56,18 @@ class TestGenGraph:
                      "--out", str(out)]) == 0
         g = graph_from_json(out.read_text())
         assert g.positions is not None
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["--kind", "caveman", "--nodes", "30", "--cliques", "5"],
+         GraphSpec(kind="caveman", nodes=30, cliques=5)),
+        (["--kind", "rgg", "--nodes", "40"], GraphSpec(kind="rgg", nodes=40)),
+        (["--kind", "rgg", "--nodes", "40", "--radius", "0.35"],
+         GraphSpec(kind="rgg", nodes=40, radius=0.35)),
+    ])
+    def test_matches_run_world_graph(self, capsys, argv, spec):
+        assert main(["gen-graph", *argv, "--seed", "3"]) == 0
+        cfg = ExperimentConfig(graph=spec, data=DataSpec(classes=3, dims=4, per_class=30))
+        assert capsys.readouterr().out == graph_to_json(build_environment(cfg, 3).graph) + "\n"
 
     def test_generation_failure_exits_one(self, tmp_path, capsys):
         code = main(["gen-graph", "--kind", "rgg", "--nodes", "50", "--radius", "0.01",

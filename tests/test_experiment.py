@@ -1,10 +1,11 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xlwalk import learner, policy, walker
+from xlwalk import experiment, learner, policy, walker
 from xlwalk.errors import ConfigError
 from xlwalk.experiment import (
     AttractionSpec,
@@ -156,6 +157,110 @@ class TestDeterminism:
             assert a.metrics.rows == b.metrics.rows
 
 
+def world_cells():
+    """Three series on two worlds, with world keys interleaved A0, B0, A0, A1, B1, A1."""
+    a_uniform = small_config(name="a-uniform", policy=PolicySpec(kind="uniform"), jumps=12)
+    a_static = small_config(name="a-static", jumps=12)
+    b = small_config(name="b", graph=GraphSpec(kind="caveman", nodes=15, cliques=3), jumps=12)
+    return [(cfg, seed) for seed in (0, 1) for cfg in (a_uniform, b, a_static)]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs each slice here and records it."""
+
+    slices: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, slices):
+        slices = list(slices)
+        assert len(slices) <= self.max_workers
+        _InProcessPool.slices = slices
+        return [fn(part) for part in slices]
+
+
+class TestWorldAtATimeRunner:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interleaved_worlds_come_back_in_input_order(self, threads):
+        cells = world_cells()
+        results = run_many(cells, threads=threads)
+        assert [(r.series, r.seed) for r in results] == [(c.series_label, s) for c, s in cells]
+        for (cfg, seed), res in zip(cells, results):
+            alone = run_single(cfg, seed)
+            assert events_equal(res.events, alone.events)
+            assert res.metrics == alone.metrics
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(graph, seed) of every world build_environment makes."""
+        built = []
+        real = experiment.build_environment
+
+        def counted(cfg, seed):
+            built.append((cfg.graph, seed))
+            return real(cfg, seed)
+
+        monkeypatch.setattr(experiment, "build_environment", counted)
+        return built
+
+    def test_each_world_built_once(self, built):
+        run_many(world_cells(), threads=1)
+        assert len(built) == len(set(built)) == 4
+
+    def test_one_world_alive_at_a_time(self, monkeypatch):
+        live = weakref.WeakSet()
+        alive_at_build, alive_at_simulate = [], []
+        real_build, real_simulate = experiment.build_environment, experiment.simulate
+
+        def tracked_build(cfg, seed):
+            alive_at_build.append(len(live))
+            env = real_build(cfg, seed)
+            live.add(env)
+            return env
+
+        def checked_simulate(env, cfg, seed):
+            alive_at_simulate.append(len(live))
+            return real_simulate(env, cfg, seed)
+
+        monkeypatch.setattr(experiment, "build_environment", tracked_build)
+        monkeypatch.setattr(experiment, "simulate", checked_simulate)
+        run_many(world_cells(), threads=1)
+        assert alive_at_build == [0] * 4  # the previous world is gone before the next is built
+        assert alive_at_simulate == [1] * 6
+
+    def test_one_world_over_two_workers(self):
+        cfg = small_config(jumps=12)
+        cells = [(replace(cfg, name=f"s{i}", policy=PolicySpec(kind=kind)), 0)
+                 for i, kind in enumerate(["uniform", "mh", IMPORTANCE_STATIC])]
+        sequential = run_many(cells, threads=1)
+        parallel = run_many(cells, threads=2)
+        for a, b in zip(sequential, parallel):
+            assert events_equal(a.events, b.events)
+            assert a.metrics == b.metrics
+
+    def test_workers_take_contiguous_world_slices(self, monkeypatch, built):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InProcessPool)
+        cells = world_cells()
+        results = run_many(cells, threads=2)
+        keys = [[(c.graph, s) for c, s in part] for part in _InProcessPool.slices]
+        a, b = cells[0][0].graph, cells[1][0].graph
+        assert keys == [[(a, 0), (a, 0), (b, 0)], [(a, 1), (a, 1), (b, 1)]]
+        assert len(built) == 4
+        assert [(r.series, r.seed) for r in results] == [(c.series_label, s) for c, s in cells]
+
+        built.clear()
+        run_many(cells[:1] * 3, threads=2)  # one world, fewer worlds than workers
+        assert [len(part) for part in _InProcessPool.slices] == [1, 2]
+        assert len(built) == 2
+
+
 class TestSimulation:
     def test_visit_events_every_jump(self):
         cfg = small_config()
@@ -264,6 +369,40 @@ class TestDynamicModeWork:
             want_targets, want_probs = full.row(position)
             assert np.array_equal(targets, want_targets)
             assert np.array_equal(probs, want_probs)
+
+
+class TestSharedModelEvaluation:
+    """Walkers holding one merged model object are scored once per evaluation tick."""
+
+    def _count_evaluations(self, monkeypatch, cfg):
+        calls = []
+        real = learner.evaluate
+
+        def counted(m, features, labels):
+            calls.append(m)
+            return real(m, features, labels)
+
+        monkeypatch.setattr("xlwalk.experiment.evaluate", counted)
+        env = build_environment(cfg, seed=0)
+        assert all(x.shape[0] > 0 for x in env.node_features)  # every visit trains
+        res = simulate(env, cfg, seed=0)
+        return len(calls), res
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_uplink_scores_one_model_per_tick(self, monkeypatch, eval_every):
+        cfg = small_config(walkers=3, uplink=True, jumps=12, eval_every=eval_every)
+        calls, res = self._count_evaluations(monkeypatch, cfg)
+        assert calls == cfg.walkers + cfg.jumps // eval_every
+        for t in range(eval_every, cfg.jumps + 1, eval_every):
+            scores = {(loss, acc) for tt, _, loss, acc, _ in res.metrics.rows if tt == t}
+            assert len(scores) == 1
+
+    def test_rendezvous_ticks_share_and_others_do_not(self, monkeypatch):
+        cfg = small_config(walkers=3, rendezvous=RendezvousSpec(enabled=True, every=10, node=0),
+                           jumps=20, eval_every=5)
+        calls, _ = self._count_evaluations(monkeypatch, cfg)
+        # t=0, 5 and 15 score every walker; t=10 and 20 follow a rendezvous
+        assert calls == 3 * 3 + 2
 
 
 class TestNonInteraction:

@@ -1,0 +1,135 @@
+"""Property tests for the swarm interaction primitives and the memory merge."""
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xlwalk.learner import ModelParams
+from xlwalk.swarm import AttractionConfig, collide, new_swarm, tick_attraction
+from xlwalk.walker import WalkerState, memory_merge
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def model(values) -> ModelParams:
+    # a softmax model over 0 dims has one bias per class: any vector length fits
+    return ModelParams("softmax", 0, len(values), 0, np.array(values, dtype=np.float64))
+
+
+def symmetric(draw, n: int, hi: int) -> np.ndarray:
+    m = np.zeros((n, n), dtype=np.int64)
+    for r in range(n):
+        for q in range(r + 1, n):
+            m[r, q] = m[q, r] = draw(st.integers(0, hi))
+    return m
+
+
+@st.composite
+def swarms(draw, min_size: int = 1):
+    """A swarm with random models, counters, positions, clocks and paired pursuits."""
+    n = draw(st.integers(min_size, 6))
+    dim = draw(st.integers(1, 4))
+    walkers = []
+    for wid in range(n):
+        im = model(draw(st.lists(coords, min_size=dim, max_size=dim)))
+        sm = model(draw(st.lists(coords, min_size=dim, max_size=dim)))
+        walkers.append(WalkerState(
+            id=wid, position=draw(st.integers(0, 9)), im=im, sm=sm,
+            samples_since_agg=draw(st.integers(0, 10_000)),
+        ))
+    s = new_swarm(walkers)
+    s.since_collision = symmetric(draw, n, 200)
+    s.cooldown = symmetric(draw, n, 6)
+    order = draw(st.permutations(range(n)))
+    for r, q in zip(order[0::2][:draw(st.integers(0, n // 2))], order[1::2]):
+        s.pursuit[r], s.pursuit[q] = q, r
+    s.homing = [draw(st.none() | st.integers(0, 9)) for _ in range(n)]
+    return s
+
+
+def pursuits_symmetric(s) -> bool:
+    return all(q is None or (q != r and s.pursuit[q] == r) for r, q in enumerate(s.pursuit))
+
+
+@SETTINGS
+@given(data=st.data(), memory_enabled=st.booleans())
+def test_collide_is_a_group_average(data, memory_enabled):
+    s = data.draw(swarms(min_size=2))
+    group = sorted(data.draw(st.sets(st.integers(0, s.size - 1), min_size=2)))
+    before = list(s.walkers)
+    clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
+
+    s, weights = collide(s, group, memory_enabled)
+
+    assert weights == [before[r].samples_since_agg + 1 for r in group]
+    merged = s.walkers[group[0]].im
+    thetas = np.stack([before[r].im.theta for r in group])
+    lo, hi = thetas.min(axis=0), thetas.max(axis=0)
+    slack = 8 * np.finfo(np.float64).eps * np.abs(thetas).max(axis=0)
+    assert np.all(merged.theta >= lo - slack) and np.all(merged.theta <= hi + slack)
+    for r in group:
+        w = s.walkers[r]
+        assert w.im is merged
+        assert w.sm is (merged if memory_enabled else before[r].sm)
+        assert w.samples_since_agg == 0
+        assert (w.id, w.position) == (before[r].id, before[r].position)
+    members = np.zeros(s.size, dtype=bool)
+    members[group] = True
+    inside = np.outer(members, members)
+    assert not s.since_collision[inside].any() and not s.cooldown[inside].any()
+    assert np.array_equal(s.since_collision, s.since_collision.T)
+    assert np.array_equal(s.cooldown, s.cooldown.T)
+    assert np.array_equal(s.since_collision[~inside], clocks[~inside])
+    assert np.array_equal(s.cooldown[~inside], cooldown[~inside])
+    for r in range(s.size):
+        if not members[r]:
+            assert s.walkers[r] is before[r]
+
+
+@SETTINGS
+@given(im=st.lists(coords, min_size=1, max_size=5), data=st.data())
+def test_memory_merge_with_zero_beta_keeps_im(im, data):
+    sm = data.draw(st.lists(coords, min_size=len(im), max_size=len(im)))
+    w = WalkerState(id=0, position=0, im=model(im), sm=model(sm))
+    out = memory_merge(w, 0.0)
+    assert np.array_equal(out.im.theta, w.im.theta)
+    assert out.sm is out.im
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    strength=st.floats(0.0, 2.0),
+    base_coeff=st.floats(0.0, 1.0),
+    cooldown_max=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tick_attraction_clocks_and_pursuits(data, strength, base_coeff, cooldown_max, seed):
+    s = data.draw(swarms())
+    cfg = AttractionConfig(strength=strength, base_coeff=base_coeff, cooldown_max=cooldown_max)
+    clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
+    pursuit, homing = list(s.pursuit), list(s.homing)
+
+    s, events = tick_attraction(s, cfg, np.random.default_rng(seed))
+
+    off_diag = ~np.eye(s.size, dtype=bool)
+    assert np.array_equal(s.since_collision[off_diag], clocks[off_diag] + 1)
+    assert not np.diag(s.since_collision).any()
+    assert np.array_equal(s.cooldown, np.maximum(cooldown - 1, 0))
+    assert (s.cooldown >= 0).all()
+    assert pursuits_symmetric(s)
+    assert s.homing == homing
+    started = {tuple(ev["walkers"]) for ev in events}
+    for r, q in started:
+        assert pursuit[r] is None and pursuit[q] is None
+        assert homing[r] is None and homing[q] is None
+        assert s.cooldown[r, q] == 0
+    for r, q in enumerate(s.pursuit):
+        if pursuit[r] is not None:
+            assert q == pursuit[r]  # a running pursuit is never replaced
+        elif q is not None:
+            assert tuple(sorted((r, q))) in started
