@@ -19,10 +19,10 @@ from .experiment import (
     simulate,
     summarize,
 )
-from .learner import ModelParams, TrainConfig, evaluate, init_model, sgd_steps, weighted_average
+from .learner import LearnerSpec, ModelParams, evaluate, init_model, sgd_steps, weighted_average
 from .policy import (
-    ElasticParams,
-    ImportanceParams,
+    ElasticSpec,
+    PolicySpec,
     TransitionPolicy,
     accuracy_scaled_alpha,
     build_transition,
@@ -30,12 +30,11 @@ from .policy import (
     elastic_iterations,
     importance_vector,
     mh_transition,
-    node_importance,
     uniform_transition,
 )
 from .presets import PRESETS, preset_configs
-from .swarm import AttractionConfig, SwarmState, attraction_probability, clique_confined_policy
+from .swarm import AttractionSpec, SwarmState, attraction_probability, clique_confined_policy
 from .topology import Centrality, Graph, betweenness, gen_connected_caveman, gen_rgg, next_hop_toward
-from .walker import MemoryConfig, WalkerState, memory_merge, perception_refresh, step, visit
+from .walker import MemorySpec, WalkerState, memory_merge, perception_refresh, step, visit
 
 __version__ = "0.1.0"

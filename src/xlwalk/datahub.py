@@ -297,22 +297,3 @@ def load_dataset(path: str | Path) -> Dataset:
         val_indices=np.array(doc["val_indices"], dtype=np.int64),
         n_classes=doc["n_classes"],
     )
-
-
-def partition_to_json(part: Partition) -> str:
-    return json.dumps(
-        {
-            "assignment": [ix.tolist() for ix in part.assignment],
-            "data_frac": part.data_frac.tolist(),
-            "label_frac": part.label_frac.tolist(),
-        }
-    )
-
-
-def partition_from_json(text: str) -> Partition:
-    doc = json.loads(text)
-    return Partition(
-        assignment=tuple(np.array(ix, dtype=np.int64) for ix in doc["assignment"]),
-        data_frac=np.array(doc["data_frac"]),
-        label_frac=np.array(doc["label_frac"]),
-    )

@@ -26,16 +26,18 @@ import numpy as np
 
 from . import datahub, policy, swarm, topology, walker
 from .errors import ConfigError
-from .learner import MLP, SOFTMAX, TrainConfig, evaluate, init_model
+from .learner import LearnerSpec, evaluate, init_model
 from .policy import (
     IMPORTANCE_DYNAMIC,
     IMPORTANCE_STATIC,
     MH,
     UNIFORM,
-    ElasticParams,
-    ImportanceParams,
+    ElasticSpec,
+    PolicySpec,
     TransitionPolicy,
 )
+from .swarm import AttractionSpec
+from .walker import MemorySpec
 
 logger = logging.getLogger(__name__)
 
@@ -75,48 +77,6 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True)
-class LearnerSpec:
-    arch: str = "softmax"
-    hidden: int = 64
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    l2: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str = UNIFORM
-    alpha: float = 0.5
-    alpha_min: float = 0.10
-    alpha_max: float = 0.85
-    acc_min: float = 0.1
-    acc_max: float = 0.8
-    normalize_terms: bool = True
-
-
-@dataclass(frozen=True)
-class ElasticSpec:
-    enabled: bool = False
-    x_max: int = 20
-    tau1: float = 10.0
-    tau2: float = 0.4
-
-
-@dataclass(frozen=True)
-class MemorySpec:
-    enabled: bool = False
-    schedule: tuple[tuple[int, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class AttractionSpec:
-    enabled: bool = False
-    strength: float = 0.1
-    base_coeff: float = 0.05
-    cooldown_max: int = 5
-
-
-@dataclass(frozen=True)
 class RendezvousSpec:
     enabled: bool = False
     every: int = 10
@@ -125,6 +85,13 @@ class RendezvousSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the world, the walkers and their budget.
+
+    The learner, policy, elastic, memory and attraction blocks are the
+    subsystems' own specs, which check their fields when built. `validate`
+    checks the rest and the rules that span blocks.
+    """
+
     name: str = "run"
     series: str = ""  # label used to group runs in summaries; defaults to name
     graph: GraphSpec = field(default_factory=GraphSpec)
@@ -158,23 +125,10 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be at least 1")
         if self.iters_per_visit < 1:
             raise ConfigError("iters_per_visit must be at least 1")
-        lspec = self.learner
-        if lspec.arch not in (SOFTMAX, MLP):
-            raise ConfigError(f"unknown learner arch {lspec.arch!r}")
-        if lspec.arch == MLP and lspec.hidden < 1:
-            raise ConfigError("an mlp learner needs at least 1 hidden unit")
-        if lspec.batch_size < 1:
-            raise ConfigError("learner batch_size must be at least 1")
-        if lspec.learning_rate < 0:
-            raise ConfigError("learner learning_rate must be non-negative")
-        if lspec.l2 < 0:
-            raise ConfigError("learner l2 must be non-negative")
         if self.graph.kind not in ("caveman", "rgg"):
             raise ConfigError(f"unknown graph kind {self.graph.kind!r}")
         if self.partition.kind not in ("label_skew", "clique_dominant"):
             raise ConfigError(f"unknown partition kind {self.partition.kind!r}")
-        if self.policy.kind not in (UNIFORM, MH, IMPORTANCE_STATIC, IMPORTANCE_DYNAMIC):
-            raise ConfigError(f"unknown policy kind {self.policy.kind!r}")
         needs_cliques = (
             self.partition.kind == "clique_dominant"
             or self.confine_cliques
@@ -339,21 +293,9 @@ def interaction_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([_INTERACTION_TAG, seed]))
 
 
-class _WalkerDriver:
-    """Per-walker mutable context the loop keeps next to the swarm state."""
-
-    def __init__(self, wid: int, rng: np.random.Generator):
-        self.wid = wid
-        self.rng = rng
-        self.home_clique: int | None = None
-        self.cum_iters = 0
-        self.alpha: float | None = None
-
-
-def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids) -> tuple[list[walker.WalkerState], list[_WalkerDriver]]:
+def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids) -> list[walker.WalkerState]:
     g = env.graph
-    states = []
-    drivers = []
+    walkers = []
     for wid in walker_ids:
         rng = walker_rng(seed, wid)
         model_seed = int(rng.integers(2 ** 31))
@@ -363,12 +305,9 @@ def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_
             pos = members[int(rng.integers(len(members)))]
         else:
             pos = int(rng.integers(g.node_count))
-        drv = _WalkerDriver(wid, rng)
-        if cfg.confine_cliques:
-            drv.home_clique = g.clique_of[pos]
-        states.append(walker.WalkerState(id=wid, position=pos, im=im, sm=im))
-        drivers.append(drv)
-    return states, drivers
+        home = g.clique_of[pos] if cfg.confine_cliques else None
+        walkers.append(walker.WalkerState(id=wid, position=pos, im=im, sm=im, rng=rng, home_clique=home))
+    return walkers
 
 
 def _base_policy(env: Environment, cfg: ExperimentConfig) -> TransitionPolicy:
@@ -387,18 +326,6 @@ def _base_policy(env: Environment, cfg: ExperimentConfig) -> TransitionPolicy:
     return policy.build_transition(env.graph, imp, kind=IMPORTANCE_STATIC)
 
 
-def _importance_params(cfg: ExperimentConfig) -> ImportanceParams:
-    p = cfg.policy
-    return ImportanceParams(
-        alpha=p.alpha,
-        alpha_min=p.alpha_min,
-        alpha_max=p.alpha_max,
-        acc_min=p.acc_min,
-        acc_max=p.acc_max,
-        normalize_terms=p.normalize_terms,
-    )
-
-
 def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: list[int] | None = None) -> RunResult:
     """Execute one full run over a prebuilt environment.
 
@@ -414,48 +341,48 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         )
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
     run_id = f"{cfg.series_label}:{seed}"
-    train_cfg = TrainConfig(cfg.learner.learning_rate, cfg.learner.batch_size, cfg.learner.l2)
-    imp_params = _importance_params(cfg)
-    elastic_params = ElasticParams(cfg.elastic.x_max, cfg.elastic.tau1, cfg.elastic.tau2)
-    mem_cfg = walker.MemoryConfig(enabled=cfg.memory.enabled, schedule=cfg.memory.schedule)
-    attraction_cfg = swarm.AttractionConfig(
-        strength=cfg.attraction.strength,
-        base_coeff=cfg.attraction.base_coeff,
-        cooldown_max=cfg.attraction.cooldown_max,
-    ) if cfg.attraction.enabled else None
-    interactions_on = attraction_cfg is not None and attraction_cfg.enabled and len(ids) > 1
+    attraction = cfg.attraction
+    # a zero trigger floor leaves walkers independent: no clocks, draws or collisions
+    interactions_on = attraction.enabled and attraction.base_coeff > 0.0 and len(ids) > 1
 
-    states, drivers = _initial_walkers(env, cfg, seed, ids)
-    s = swarm.new_swarm(states)
+    s = swarm.new_swarm(_initial_walkers(env, cfg, seed, ids))
     rng_interaction = interaction_rng(seed)
     centrality_vec = np.array(env.centrality.normalized)
 
     dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
 
-    def confine(pol: TransitionPolicy, drv: _WalkerDriver) -> TransitionPolicy:
+    def confine(pol: TransitionPolicy, w: walker.WalkerState) -> TransitionPolicy:
         if not cfg.confine_cliques:
             return pol
-        return swarm.clique_confined_policy(g, pol, drv.home_clique)
+        return swarm.clique_confined_policy(g, pol, w.home_clique)
 
-    def refresh(idx: int, drv: _WalkerDriver) -> TransitionPolicy:
-        s.walkers[idx], pol = walker.perception_refresh(
-            s.walkers[idx], env.val_features, env.val_labels, imp_params,
+    def refresh(w: walker.WalkerState) -> TransitionPolicy:
+        pol = walker.perception_refresh(
+            w, env.val_features, env.val_labels, cfg.policy,
             env.partition.data_frac, env.partition.label_frac,
             centrality_vec, g,
         )
-        drv.alpha = policy.accuracy_scaled_alpha(s.walkers[idx].cached_accuracy, imp_params)
-        return confine(pol, drv)
+        return confine(pol, w)
 
     if dynamic:
-        policies = [refresh(idx, drv) for idx, drv in enumerate(drivers)]
+        policies = [refresh(w) for w in s.walkers]
     else:
         shared = _base_policy(env, cfg)
-        policies = [confine(shared, drv) for drv in drivers]
+        policies = [confine(shared, w) for w in s.walkers]
 
     events: list[dict] = []
     rows: list[tuple] = []
     collision_count = 0
     collision_intervals: list[int] = []
+
+    def log_swarm_event(ev: dict, t: int, **extra) -> None:
+        """Stamp a swarm event with the run and jump, map its walker indices to ids, log it.
+
+        Keys stay in the order kind, walkers, run_id, t, then extra, which
+        events.jsonl preserves.
+        """
+        ev.update(run_id=run_id, t=t, walkers=[ids[i] for i in ev["walkers"]], **extra)
+        events.append(ev)
 
     def record_eval(t: int) -> list[tuple[float, float]]:
         """Validation loss and accuracy per walker, logged as metric rows.
@@ -468,15 +395,14 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         """
         out = []
         scored: dict[int, tuple[float, float]] = {}  # id(model) -> (loss, acc)
-        for idx, drv in enumerate(drivers):
-            w = s.walkers[idx]
+        for w in s.walkers:
             if dynamic:
                 loss, acc = w.cached_loss, w.cached_accuracy
             else:
                 if id(w.im) not in scored:
                     scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
                 loss, acc = scored[id(w.im)]
-            rows.append((t, drv.wid, loss, acc, drv.cum_iters))
+            rows.append((t, w.id, loss, acc, w.cum_iters))
             out.append((loss, acc))
         return out
 
@@ -485,56 +411,51 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     for t in range(1, cfg.jumps + 1):
         # 1. attraction clocks and pursuit triggers
         if interactions_on:
-            s, trig = swarm.tick_attraction(s, attraction_cfg, rng_interaction)
-            for ev in trig:
-                ev.update({"run_id": run_id, "t": t, "walkers": [ids[i] for i in ev["walkers"]]})
-                events.append(ev)
+            for ev in swarm.tick_attraction(s, attraction, rng_interaction):
+                log_swarm_event(ev, t)
 
         # 2. movement, ascending walker id
-        for idx, drv in enumerate(drivers):
-            w = s.walkers[idx]
+        for idx, w in enumerate(s.walkers):
             target = swarm.steer_target(s, idx)
-            if target is not None and target != w.position:
-                nxt = topology.next_hop_toward(g, w.position, target)
-                s.walkers[idx] = replace(w, position=nxt, jumps=w.jumps + 1)
-            elif target is not None:
-                s.walkers[idx] = replace(w, jumps=w.jumps + 1)
+            if target is None:
+                walker.step(w, policies[idx], w.rng)
             else:
-                s.walkers[idx] = walker.step(w, policies[idx], drv.rng)
-            if drv.home_clique is not None and s.homing[idx] is not None:
-                if g.clique_of[s.walkers[idx].position] == drv.home_clique:
+                if target != w.position:
+                    w.position = topology.next_hop_toward(g, w.position, target)
+                w.jumps += 1
+            if w.home_clique is not None and s.homing[idx] is not None:
+                if g.clique_of[w.position] == w.home_clique:
                     s.homing[idx] = None
 
         # 3. local training
         tick_visits: list[dict] = []
-        for idx, drv in enumerate(drivers):
-            w = s.walkers[idx]
+        for w in s.walkers:
             node = w.position
             x, y = env.node_features[node], env.node_labels[node]
             if cfg.elastic.enabled:
                 quality = policy.data_quality(
                     float(env.partition.data_frac[node]),
                     float(env.partition.label_frac[node]),
-                    elastic_params.tau2,
+                    cfg.elastic.tau2,
                 )
-                iters = policy.elastic_iterations(quality, elastic_params)
+                iters = policy.elastic_iterations(quality, cfg.elastic)
             else:
                 iters = cfg.iters_per_visit
             if x.shape[0] == 0:
                 iters = 0
             else:
-                s.walkers[idx] = walker.visit(w, x, y, iters, train_cfg, drv.rng)
-            drv.cum_iters += iters
-            ev = {"run_id": run_id, "t": t, "kind": "visit", "walker_id": drv.wid,
+                walker.visit(w, x, y, iters, cfg.learner, w.rng)
+            w.cum_iters += iters
+            ev = {"run_id": run_id, "t": t, "kind": "visit", "walker_id": w.id,
                   "node": node, "iters": iters}
             tick_visits.append(ev)
             events.append(ev)
 
         # 4. memory merge
-        if mem_cfg.enabled:
-            for idx, drv in enumerate(drivers):
-                beta = mem_cfg.beta_at(t)
-                s.walkers[idx] = walker.memory_merge(s.walkers[idx], beta)
+        if cfg.memory.enabled:
+            beta = cfg.memory.beta_at(t)
+            for idx, w in enumerate(s.walkers):
+                s.walkers[idx] = walker.memory_merge(w, beta)
                 tick_visits[idx]["beta"] = beta
 
         # 5. collisions: co-location, then rendezvous, then uplink
@@ -545,32 +466,28 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
                     continue
                 intervals = [int(s.since_collision[r, q]) for r, q in pairs]
                 node = s.walkers[group[0]].position
-                s, weights = swarm.collide(s, group, mem_cfg.enabled)
+                weights = swarm.collide(s, group, cfg.memory.enabled)
                 for ev in swarm.end_pursuits(s, group):
-                    ev.update({"run_id": run_id, "t": t, "node": node,
-                               "walkers": [ids[i] for i in ev["walkers"]]})
-                    events.append(ev)
-                swarm.start_cooldown(s, group, attraction_cfg.cooldown_max)
+                    log_swarm_event(ev, t, node=node)
+                swarm.start_cooldown(s, group, attraction.cooldown_max)
                 for idx in group:
-                    drv = drivers[idx]
-                    if drv.home_clique is not None and g.clique_of[node] != drv.home_clique:
-                        s.homing[idx] = swarm.nearest_clique_node(g, node, drv.home_clique)
+                    home = s.walkers[idx].home_clique
+                    if home is not None and g.clique_of[node] != home:
+                        s.homing[idx] = swarm.nearest_clique_node(g, node, home)
                 collision_count += 1
                 collision_intervals.extend(intervals)
                 events.append({"run_id": run_id, "t": t, "kind": "collide",
                                "trigger": "colocation", "walkers": [ids[i] for i in group],
                                "node": node, "weights": weights})
         if cfg.rendezvous.enabled and t % cfg.rendezvous.every == 0:
-            s, weights = swarm.rendezvous_tick(s, cfg.rendezvous.every, cfg.rendezvous.node, mem_cfg.enabled)
+            weights = swarm.rendezvous_tick(s, cfg.rendezvous.every, cfg.rendezvous.node, cfg.memory.enabled)
             for ev in swarm.end_pursuits(s, list(range(s.size))):
-                ev.update({"run_id": run_id, "t": t, "node": cfg.rendezvous.node,
-                           "walkers": [ids[i] for i in ev["walkers"]]})
-                events.append(ev)
+                log_swarm_event(ev, t, node=cfg.rendezvous.node)
             events.append({"run_id": run_id, "t": t, "kind": "rendezvous",
                            "walkers": list(ids), "node": cfg.rendezvous.node,
                            "weights": weights})
         if cfg.uplink and len(ids) > 1:
-            s, weights = swarm.uplink_aggregate(s, mem_cfg.enabled)
+            weights = swarm.uplink_aggregate(s, cfg.memory.enabled)
             events.append({"run_id": run_id, "t": t, "kind": "collide",
                            "trigger": "uplink", "walkers": list(ids),
                            "node": None, "weights": weights})
@@ -578,9 +495,9 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         # 6. perception refresh: rebuilds only the row at each walker's position,
         # the one row the next movement phase samples (nothing moves a walker in between)
         if dynamic:
-            for idx, drv in enumerate(drivers):
-                policies[idx] = refresh(idx, drv)
-                tick_visits[idx]["alpha_inst"] = drv.alpha
+            for idx, w in enumerate(s.walkers):
+                policies[idx] = refresh(w)
+                tick_visits[idx]["alpha_inst"] = w.alpha
 
         # 7. evaluation
         if t % cfg.eval_every == 0:

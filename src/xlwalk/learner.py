@@ -8,10 +8,8 @@ theta is never aliased and callers can keep multiple model copies.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -41,10 +39,26 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class LearnerSpec:
+    """The model a walker carries and how it trains: architecture, SGD step size, batch, L2."""
+
+    arch: str = SOFTMAX
+    hidden: int = 64  # mlp only
     learning_rate: float = 0.05
     batch_size: int = 32
     l2: float = 0.0
+
+    def __post_init__(self):
+        if self.arch not in (SOFTMAX, MLP):
+            raise ConfigError(f"unknown learner arch {self.arch!r}")
+        if self.arch == MLP and self.hidden < 1:
+            raise ConfigError("an mlp learner needs at least 1 hidden unit")
+        if self.batch_size < 1:
+            raise ConfigError("learner batch_size must be at least 1")
+        if self.learning_rate < 0:
+            raise ConfigError("learner learning_rate must be non-negative")
+        if self.l2 < 0:
+            raise ConfigError("learner l2 must be non-negative")
 
 
 def param_length(arch: str, n_dims: int, n_classes: int, hidden: int = 0) -> int:
@@ -132,7 +146,7 @@ def loss_and_grad(
 _CHUNK_STEPS = 64
 
 
-def _sgd_kernel(m: ModelParams, theta: np.ndarray, batch: int, cfg: TrainConfig):
+def _sgd_kernel(m: ModelParams, theta: np.ndarray, batch: int, cfg: LearnerSpec):
     """One in-place SGD step on theta, as a closure over preallocated buffers.
 
     The step performs `loss_and_grad`'s floating-point operations in the same
@@ -210,7 +224,7 @@ def sgd_steps(
     features: np.ndarray,
     labels: np.ndarray,
     k: int,
-    cfg: TrainConfig,
+    cfg: LearnerSpec,
     rng: np.random.Generator,
 ) -> ModelParams:
     """k mini-batch SGD steps; batches drawn with replacement from the local set.
@@ -267,28 +281,3 @@ def weighted_average(models: list[ModelParams], weights: list[float]) -> ModelPa
         total = w.sum()
     stacked = np.stack([m.theta for m in models])
     return replace(head, theta=(w / total) @ stacked)
-
-
-def save_model(m: ModelParams, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "arch": m.arch,
-                "n_dims": m.n_dims,
-                "n_classes": m.n_classes,
-                "hidden": m.hidden,
-                "theta": m.theta.tolist(),
-            }
-        )
-    )
-
-
-def load_model(path: str | Path) -> ModelParams:
-    doc = json.loads(Path(path).read_text())
-    return ModelParams(
-        arch=doc["arch"],
-        n_dims=doc["n_dims"],
-        n_classes=doc["n_classes"],
-        hidden=doc["hidden"],
-        theta=np.array(doc["theta"], dtype=np.float64),
-    )

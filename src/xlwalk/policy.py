@@ -26,9 +26,14 @@ IMPORTANCE_DYNAMIC = "importance-dynamic"
 
 
 @dataclass(frozen=True)
-class ImportanceParams:
-    """Static mixing weight plus the accuracy-to-weight map for dynamic mode."""
+class PolicySpec:
+    """Which transition rows a walker samples, plus the importance mixing weights.
 
+    alpha is the static mixing weight; dynamic mode maps the walker's
+    accuracy from [acc_min, acc_max] onto [alpha_min, alpha_max] instead.
+    """
+
+    kind: str = UNIFORM
     alpha: float = 0.5
     alpha_min: float = 0.10
     alpha_max: float = 0.85
@@ -37,6 +42,8 @@ class ImportanceParams:
     normalize_terms: bool = True
 
     def __post_init__(self):
+        if self.kind not in (UNIFORM, MH, IMPORTANCE_STATIC, IMPORTANCE_DYNAMIC):
+            raise ConfigError(f"unknown policy kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.alpha_min > self.alpha_max:
@@ -46,7 +53,10 @@ class ImportanceParams:
 
 
 @dataclass(frozen=True)
-class ElasticParams:
+class ElasticSpec:
+    """The elastic rule: when enabled, a node's quality sets the SGD budget of each visit."""
+
+    enabled: bool = False
     x_max: int = 20
     tau1: float = 10.0
     tau2: float = 0.4
@@ -79,11 +89,6 @@ class TransitionPolicy:
         return list(range(len(self.targets)))
 
 
-def node_importance(data_frac: float, label_frac: float, centrality: float, alpha: float) -> float:
-    """Weighted sum of data quality (data_frac * label_frac) and spatial quality."""
-    return alpha * data_frac * label_frac + (1.0 - alpha) * centrality
-
-
 def importance_vector(
     data_frac: np.ndarray,
     label_frac: np.ndarray,
@@ -106,7 +111,7 @@ def importance_vector(
     return alpha * data_term + (1.0 - alpha) * spatial
 
 
-def accuracy_scaled_alpha(accuracy: float, p: ImportanceParams) -> float:
+def accuracy_scaled_alpha(accuracy: float, p: PolicySpec) -> float:
     """Mixing weight as a clamped linear function of current model accuracy."""
     span = (p.alpha_max - p.alpha_min) / (p.acc_max - p.acc_min)
     alpha = p.alpha_min + (accuracy - p.acc_min) * span
@@ -198,7 +203,7 @@ def data_quality(data_frac: float, label_frac: float, tau2: float = 0.4) -> floa
     return label_frac * data_frac ** exponent
 
 
-def elastic_iterations(quality: float, p: ElasticParams) -> int:
+def elastic_iterations(quality: float, p: ElasticSpec) -> int:
     """Sigmoid-scaled SGD budget, rounded half-up and clamped to [1, x_max]."""
     if quality < 0:
         raise ConfigError("quality must be non-negative")

@@ -5,14 +5,15 @@ a successful draw puts both into mutual shortest-path pursuit until they
 meet, aggregate, and briefly lose attraction. Scheduled rendezvous and the
 per-jump uplink baseline reuse the same group-average collision.
 
-A SwarmState is owned by exactly one simulation loop; operations mutate it
-in place and return it for chaining.
+A SwarmState is owned by exactly one simulation loop. Operations update it
+and its walkers in place and return only what they produce: events or
+aggregation weights.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +27,15 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class AttractionConfig:
-    strength: float  # exponent rate on the time since the pair last aggregated
+class AttractionSpec:
+    """Pairwise attraction between walkers.
+
+    With base_coeff 0 no pair ever triggers, and an enabled block leaves the
+    walkers independent: simulate runs no clocks, draws or collisions.
+    """
+
+    enabled: bool = False
+    strength: float = 0.1  # exponent rate on the time since the pair last aggregated
     base_coeff: float = 0.05  # trigger probability floor right after a collision
     cooldown_max: int = 5  # jumps a freshly collided pair stays inert
 
@@ -38,10 +46,6 @@ class AttractionConfig:
             raise ConfigError("base_coeff must lie in [0, 1]")
         if self.cooldown_max < 0:
             raise ConfigError("cooldown_max must be non-negative")
-
-    @property
-    def enabled(self) -> bool:
-        return self.base_coeff > 0.0
 
 
 @dataclass
@@ -68,7 +72,7 @@ def new_swarm(walkers: list[WalkerState]) -> SwarmState:
     )
 
 
-def attraction_probability(elapsed: int, cfg: AttractionConfig) -> float:
+def attraction_probability(elapsed: int, cfg: AttractionSpec) -> float:
     """min(1, base_coeff * exp(strength * elapsed)); grows with both knobs."""
     if elapsed < 0:
         raise ConfigError("elapsed time must be non-negative")
@@ -78,15 +82,15 @@ def attraction_probability(elapsed: int, cfg: AttractionConfig) -> float:
     return min(1.0, cfg.base_coeff * math.exp(exponent))
 
 
-def tick_attraction(s: SwarmState, cfg: AttractionConfig, rng: np.random.Generator) -> tuple[SwarmState, list[dict]]:
+def tick_attraction(s: SwarmState, cfg: AttractionSpec, rng: np.random.Generator) -> list[dict]:
     """Advance the pair clocks and draw pursuit triggers for idle pairs."""
     n = s.size
     off_diag = ~np.eye(n, dtype=bool)
     s.since_collision[off_diag] += 1
     np.maximum(s.cooldown - 1, 0, out=s.cooldown)
     events: list[dict] = []
-    if not cfg.enabled:
-        return s, events
+    if cfg.base_coeff == 0.0:  # no pair can trigger, and exp() of a long clock could overflow
+        return events
     for r in range(n):
         for q in range(r + 1, n):
             if s.pursuit[r] is not None or s.pursuit[q] is not None:
@@ -100,7 +104,7 @@ def tick_attraction(s: SwarmState, cfg: AttractionConfig, rng: np.random.Generat
                 s.pursuit[r] = q
                 s.pursuit[q] = r
                 events.append({"kind": "pursuit_start", "walkers": [r, q]})
-    return s, events
+    return events
 
 
 def steer_target(s: SwarmState, walker_id: int) -> int | None:
@@ -111,30 +115,28 @@ def steer_target(s: SwarmState, walker_id: int) -> int | None:
     return s.homing[walker_id]
 
 
-def collide(s: SwarmState, group: list[int], memory_enabled: bool = False) -> tuple[SwarmState, list[int]]:
+def collide(s: SwarmState, group: list[int], memory_enabled: bool = False) -> list[int]:
     """Replace every group member's model with their sample-weighted average.
 
     Weights are samples seen since the member's last aggregation, plus one
     so that freshly spawned walkers still count. Pair clocks reset and the
-    cooldown starts for every pair inside the group.
+    cooldown starts for every pair inside the group. Returns the weights.
     """
     if len(group) < 2:
-        return s, []
+        return []
     weights = [s.walkers[r].samples_since_agg + 1 for r in group]
     merged = weighted_average([s.walkers[r].im for r in group], weights)
     for r in group:
         w = s.walkers[r]
-        s.walkers[r] = replace(
-            w,
-            im=merged,
-            sm=merged if memory_enabled else w.sm,
-            samples_since_agg=0,
-        )
+        w.im = merged
+        if memory_enabled:
+            w.sm = merged
+        w.samples_since_agg = 0
     for i, r in enumerate(group):
         for q in group[i + 1:]:
             s.since_collision[r, q] = s.since_collision[q, r] = 0
             s.cooldown[r, q] = s.cooldown[q, r] = 0
-    return s, weights
+    return weights
 
 
 def start_cooldown(s: SwarmState, group: list[int], cooldown_max: int) -> None:
@@ -163,19 +165,18 @@ def colocated_groups(s: SwarmState) -> list[list[int]]:
     return [sorted(idxs) for node, idxs in sorted(by_node.items()) if len(idxs) > 1]
 
 
-def rendezvous_tick(s: SwarmState, every_k: int, node: int, memory_enabled: bool = False) -> tuple[SwarmState, list[int]]:
+def rendezvous_tick(s: SwarmState, every_k: int, node: int, memory_enabled: bool = False) -> list[int]:
     """Relocate every walker to the meeting node and apply one group average."""
     if every_k < 1:
         raise ConfigError("rendezvous period must be positive")
     if s.walkers and s.walkers[0].jumps % every_k != 0:
         raise ConfigError("rendezvous called off-schedule")
-    for r in range(s.size):
-        s.walkers[r] = replace(s.walkers[r], position=node)
-    s, weights = collide(s, list(range(s.size)), memory_enabled)
-    return s, weights
+    for w in s.walkers:
+        w.position = node
+    return collide(s, list(range(s.size)), memory_enabled)
 
 
-def uplink_aggregate(s: SwarmState, memory_enabled: bool = False) -> tuple[SwarmState, list[int]]:
+def uplink_aggregate(s: SwarmState, memory_enabled: bool = False) -> list[int]:
     """Group-average all walkers in place, without relocation."""
     return collide(s, list(range(s.size)), memory_enabled)
 

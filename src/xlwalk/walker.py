@@ -5,6 +5,10 @@ visited node, and a stale model it periodically blends back in to damp
 forgetting. In dynamic mode the walker re-evaluates itself after visits and
 rebuilds the transition row it samples next from the accuracy-scaled
 importance mix, which makes the induced chain time-inhomogeneous.
+
+A `WalkerState` is the walker's one mutable record. `step`, `visit` and
+`perception_refresh` update it in place and return only what they produce;
+the models it holds are immutable, so walkers can share one.
 """
 from __future__ import annotations
 
@@ -14,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .learner import ModelParams, TrainConfig, evaluate, sgd_steps
+from .learner import LearnerSpec, ModelParams, evaluate, sgd_steps
 from .policy import (
-    ImportanceParams,
+    PolicySpec,
     TransitionPolicy,
     accuracy_scaled_alpha,
     importance_vector,
@@ -27,15 +31,18 @@ from .topology import Graph
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)  # identity semantics: a walker is one agent, whatever its fields hold
 class WalkerState:
     id: int
     position: int
     im: ModelParams  # instantaneous model, trained at every visit
     sm: ModelParams  # stale model, blended in by memory merges
+    rng: np.random.Generator | None = None  # the walker's own stream: jumps and SGD batches
+    home_clique: int | None = None  # set when walks are confined to the start clique
     jumps: int = 0
     samples_since_agg: int = 0
-    samples_total: int = 0
+    cum_iters: int = 0  # SGD steps taken so far
+    alpha: float | None = None  # mixing weight at the last perception refresh
     cached_loss: float = 0.0  # validation loss and accuracy at the last perception refresh
     cached_accuracy: float = 0.0
 
@@ -45,7 +52,7 @@ class WalkerState:
 
 
 @dataclass(frozen=True)
-class MemoryConfig:
+class MemorySpec:
     """Staged blending weights: (first jump of stage, stale-model weight)."""
 
     enabled: bool = False
@@ -66,20 +73,14 @@ class MemoryConfig:
         return beta
 
 
-def staged_memory(total_jumps: int, betas: tuple[float, ...] = (0.0, 0.2, 0.4)) -> MemoryConfig:
-    """Evenly spaced stages over the jump budget, one blend weight per stage."""
-    n = len(betas)
-    schedule = tuple((total_jumps * i // n, b) for i, b in enumerate(betas))
-    return MemoryConfig(enabled=True, schedule=schedule)
-
-
-def step(w: WalkerState, pol: TransitionPolicy, rng: np.random.Generator) -> WalkerState:
+def step(w: WalkerState, pol: TransitionPolicy, rng: np.random.Generator) -> None:
     """Jump to the next node via one inverse-CDF draw over the current row."""
     targets, probs = pol.row(w.position)
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     idx = min(idx, targets.size - 1)  # guard the u ~ 1.0 edge against rounding
-    return replace(w, position=int(targets[idx]), jumps=w.jumps + 1)
+    w.position = int(targets[idx])
+    w.jumps += 1
 
 
 def visit(
@@ -87,25 +88,23 @@ def visit(
     features: np.ndarray,
     labels: np.ndarray,
     iters: int,
-    cfg: TrainConfig,
+    cfg: LearnerSpec,
     rng: np.random.Generator,
-) -> WalkerState:
+) -> None:
     """Train the instantaneous model on the current node's local samples."""
     if features.shape[0] == 0:
         logger.debug("walker %d skipped empty node %d", w.id, w.position)
-        return w
-    im = sgd_steps(w.im, features, labels, iters, cfg, rng)
-    seen = iters * cfg.batch_size
-    return replace(
-        w,
-        im=im,
-        samples_since_agg=w.samples_since_agg + seen,
-        samples_total=w.samples_total + seen,
-    )
+        return
+    w.im = sgd_steps(w.im, features, labels, iters, cfg, rng)
+    w.samples_since_agg += iters * cfg.batch_size
 
 
 def memory_merge(w: WalkerState, beta: float) -> WalkerState:
-    """Blend the stale model into the instantaneous one, then resynchronize."""
+    """Blend the stale model into the instantaneous one, then resynchronize.
+
+    Unlike the other operations this returns a new record and leaves w as it
+    was, so one walker can be merged at several weights.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"blend weight must lie in [0, 1], got {beta}")
     merged = replace(w.im, theta=(1.0 - beta) * w.im.theta + beta * w.sm.theta)
@@ -116,20 +115,19 @@ def perception_refresh(
     w: WalkerState,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    params: ImportanceParams,
+    params: PolicySpec,
     data_frac: np.ndarray,
     label_frac: np.ndarray,
     centrality: np.ndarray,
     g: Graph,
-) -> tuple[WalkerState, TransitionPolicy]:
+) -> TransitionPolicy:
     """Re-measure the model and rebuild the transition row at the walker's position.
 
     That row is the only one `step` reads before the next refresh, so the
-    returned policy holds just it. The state caches the measured loss and
-    accuracy.
+    returned policy holds just it. The walker caches the measured loss and
+    accuracy and the mixing weight they give.
     """
-    loss, accuracy = evaluate(w.im, val_features, val_labels)
-    alpha = accuracy_scaled_alpha(accuracy, params)
-    imp = importance_vector(data_frac, label_frac, centrality, alpha, params.normalize_terms)
-    pol = transition_at(g, imp, w.position)
-    return replace(w, cached_loss=loss, cached_accuracy=accuracy), pol
+    w.cached_loss, w.cached_accuracy = evaluate(w.im, val_features, val_labels)
+    w.alpha = accuracy_scaled_alpha(w.cached_accuracy, params)
+    imp = importance_vector(data_frac, label_frac, centrality, w.alpha, params.normalize_terms)
+    return transition_at(g, imp, w.position)

@@ -24,8 +24,7 @@ from xlwalk.experiment import (
 )
 from xlwalk.learner import ModelParams, init_model, loss_and_grad
 from xlwalk.policy import (
-    ElasticParams,
-    ImportanceParams,
+    ElasticSpec,
     accuracy_scaled_alpha,
     build_transition,
     elastic_iterations,
@@ -122,10 +121,10 @@ def test_criterion_1_unit_oracles():
 
 def test_criterion_2_closed_form():
     t0 = time.time()
-    p = ImportanceParams()
+    p = PolicySpec()
     assert accuracy_scaled_alpha(0.1, p) == 0.10
     assert accuracy_scaled_alpha(0.8, p) == 0.85
-    assert elastic_iterations(0.0, ElasticParams(x_max=20)) == 10
+    assert elastic_iterations(0.0, ElasticSpec(x_max=20)) == 10
 
     im = ModelParams("softmax", 0, 1, 0, np.array([1.0]))
     sm = ModelParams("softmax", 0, 1, 0, np.array([3.0]))

@@ -7,6 +7,8 @@ from xlwalk.datahub import load_dataset
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
 from xlwalk.topology import graph_from_json, graph_to_json
 
+from .test_experiment import SPEC_RULES
+
 
 SMALL_CONFIG = {
     "name": "cli-small",
@@ -167,6 +169,7 @@ class TestRun:
         ({"memory": {"enabled": True, "schedule": [[0, 0.1, 2]]}}, "config.memory.schedule[0] must have 2 entries"),
         ({"memory": {"enabled": True, "schedule": [["0", 0.1]]}}, "config.memory.schedule[0][0] must be an integer"),
         ({"rendezvous": {"enabled": True, "every": 0}}, "rendezvous every must be at least 1"),
+        *SPEC_RULES,
     ])
     def test_bad_field_exits_one(self, tmp_path, capsys, override, message):
         cfg = write_config(tmp_path, dict(SMALL_CONFIG, **override))

@@ -6,13 +6,11 @@ from xlwalk.datahub import (
     load_dataset,
     node_view,
     partition_clique_dominant,
-    partition_from_json,
     partition_label_skew,
-    partition_to_json,
     save_dataset,
 )
 from xlwalk.errors import ConfigError
-from xlwalk.learner import TrainConfig, evaluate, init_model, sgd_steps
+from xlwalk.learner import LearnerSpec, evaluate, init_model, sgd_steps
 from xlwalk.topology import gen_connected_caveman, gen_rgg
 
 # Critical value of the chi-squared distribution, 9 degrees of freedom, p=0.01.
@@ -66,7 +64,7 @@ class TestSynthetic:
             flat.features[flat.train_indices],
             flat.labels[flat.train_indices],
             300,
-            TrainConfig(learning_rate=0.05),
+            LearnerSpec(learning_rate=0.05),
             rng,
         )
         _, acc = evaluate(trained, flat.features[flat.val_indices], flat.labels[flat.val_indices])
@@ -201,12 +199,6 @@ class TestSerialization:
         back = load_dataset(tmp_path / "ds.json")
         assert back.features.shape == ds.features.shape
         assert np.allclose(back.features, ds.features, atol=1e-5)  # float32 sidecar
-
-    def test_partition_roundtrip(self, ds, g50):
-        part = partition_label_skew(ds, g50, 0.5, 1, 2, seed=0)
-        back = partition_from_json(partition_to_json(part))
-        assert all(np.array_equal(a, b) for a, b in zip(back.assignment, part.assignment))
-        assert np.array_equal(back.data_frac, part.data_frac)
 
     def test_node_view(self, ds, g50):
         part = partition_label_skew(ds, g50, 0.5, 1, 2, seed=0)

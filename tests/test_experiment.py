@@ -27,8 +27,49 @@ from xlwalk.experiment import (
     simulate,
     summarize,
 )
-from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC, ImportanceParams
+from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC
+from xlwalk.presets import PRESETS, preset_configs
 from xlwalk.swarm import clique_confined_policy
+
+# The JSON form of ExperimentConfig(): every key, in order, with its default.
+DEFAULT_CONFIG_DOC = {
+    "name": "run",
+    "series": "",
+    "graph": {"kind": "caveman", "nodes": 50, "cliques": 8, "radius": None, "max_retries": 100},
+    "data": {"classes": 10, "dims": 32, "per_class": 500, "val_frac": 0.2, "sep": 3.0},
+    "partition": {"kind": "label_skew", "skew_frac": 0.98, "labels_lo": 1, "labels_hi": 2,
+                  "dominance": 1.0},
+    "learner": {"arch": "softmax", "hidden": 64, "learning_rate": 0.05, "batch_size": 32, "l2": 0.0},
+    "policy": {"kind": "uniform", "alpha": 0.5, "alpha_min": 0.1, "alpha_max": 0.85,
+               "acc_min": 0.1, "acc_max": 0.8, "normalize_terms": True},
+    "elastic": {"enabled": False, "x_max": 20, "tau1": 10.0, "tau2": 0.4},
+    "iters_per_visit": 5,
+    "walkers": 1,
+    "start": "random",
+    "memory": {"enabled": False, "schedule": []},
+    "attraction": {"enabled": False, "strength": 0.1, "base_coeff": 0.05, "cooldown_max": 5},
+    "rendezvous": {"enabled": False, "every": 10, "node": 0},
+    "confine_cliques": False,
+    "uplink": False,
+    "jumps": 400,
+    "eval_every": 1,
+    "seeds": [0],
+}
+
+# Subsystem rules checked when a config is loaded, whether or not the block is enabled:
+# (config override, start of the error message).
+SPEC_RULES = [
+    ({"policy": {"alpha": 1.5}}, "alpha must lie in [0, 1]"),
+    ({"policy": {"acc_min": 0.8, "acc_max": 0.8}}, "acc_min must be below acc_max"),
+    ({"policy": {"alpha_min": 0.9, "alpha_max": 0.5}}, "alpha_min must not exceed alpha_max"),
+    ({"elastic": {"x_max": 0}}, "x_max must be at least 1"),
+    ({"memory": {"schedule": [[5, 0.1], [5, 0.2]]}},
+     "memory schedule thresholds must be strictly increasing"),
+    ({"memory": {"schedule": [[0, 1.5]]}}, "memory blend weights must lie in [0, 1]"),
+    ({"attraction": {"enabled": False, "strength": -1}}, "attraction strength must be non-negative"),
+    ({"attraction": {"base_coeff": 1.5}}, "base_coeff must lie in [0, 1]"),
+    ({"attraction": {"cooldown_max": -1}}, "cooldown_max must be non-negative"),
+]
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -81,21 +122,42 @@ class TestConfig:
         assert cfg.graph.radius is None
         assert cfg.memory.schedule == ((0, 0), (5, 0.5))
 
+    def test_default_schema_is_pinned(self):
+        doc = ExperimentConfig().to_dict()
+        assert doc == DEFAULT_CONFIG_DOC
+        assert json.dumps(doc) == json.dumps(DEFAULT_CONFIG_DOC)  # key order too
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_configs_roundtrip(self, preset):
+        for cfg in preset_configs(preset):
+            assert config_from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("override,message", SPEC_RULES)
+    def test_spec_rules_fail_at_load(self, monkeypatch, override, message):
+        def no_world(*args):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(experiment, "build_environment", no_world)
+        monkeypatch.setattr(experiment, "build_graph", no_world)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(small_config().to_dict(), **override))
+        assert str(err.value).startswith(message)
+
     def test_zero_jump_budget_rejected(self):
         with pytest.raises(ConfigError):
             small_config(jumps=0).validate()
 
     @pytest.mark.parametrize("learner_spec", [
-        LearnerSpec(batch_size=0),
-        LearnerSpec(batch_size=-1),
-        LearnerSpec(learning_rate=-0.1),
-        LearnerSpec(l2=-0.01),
-        LearnerSpec(arch="cnn"),
-        LearnerSpec(arch="mlp", hidden=0),
+        dict(batch_size=0),
+        dict(batch_size=-1),
+        dict(learning_rate=-0.1),
+        dict(l2=-0.01),
+        dict(arch="cnn"),
+        dict(arch="mlp", hidden=0),
     ])
     def test_bad_learner_rejected(self, learner_spec):
         with pytest.raises(ConfigError, match="learner"):
-            small_config(learner=learner_spec).validate()
+            small_config(learner=LearnerSpec(**learner_spec)).validate()
 
     def test_softmax_ignores_hidden(self):
         small_config(learner=LearnerSpec(arch="softmax", hidden=0)).validate()
@@ -359,7 +421,7 @@ class TestDynamicModeWork:
         assert len(sampled) == 2 * 20
         g, part = env.graph, env.partition
         for position, accuracy, (targets, probs) in sampled:
-            alpha = policy.accuracy_scaled_alpha(accuracy, ImportanceParams())
+            alpha = policy.accuracy_scaled_alpha(accuracy, PolicySpec())
             imp = policy.importance_vector(
                 part.data_frac, part.label_frac, np.array(env.centrality.normalized), alpha
             )

@@ -7,14 +7,12 @@ import pytest
 from xlwalk.errors import ConfigError
 from xlwalk.learner import (
     _CHUNK_STEPS,
+    LearnerSpec,
     ModelParams,
-    TrainConfig,
     evaluate,
     init_model,
-    load_model,
     loss_and_grad,
     param_length,
-    save_model,
     sgd_steps,
     weighted_average,
 )
@@ -78,14 +76,14 @@ class TestSgd:
     def test_zero_learning_rate_is_identity(self):
         x, y = make_batch(30, 5, 3, seed=0)
         m = init_model("softmax", 5, 3, seed=1)
-        out = sgd_steps(m, x, y, 10, TrainConfig(learning_rate=0.0), np.random.default_rng(0))
+        out = sgd_steps(m, x, y, 10, LearnerSpec(learning_rate=0.0), np.random.default_rng(0))
         assert np.array_equal(out.theta, m.theta)
 
     def test_input_model_unmodified(self):
         x, y = make_batch(30, 5, 3, seed=0)
         m = init_model("softmax", 5, 3, seed=1)
         before = m.theta.copy()
-        sgd_steps(m, x, y, 5, TrainConfig(learning_rate=0.1), np.random.default_rng(0))
+        sgd_steps(m, x, y, 5, LearnerSpec(learning_rate=0.1), np.random.default_rng(0))
         assert np.array_equal(m.theta, before)
 
     def test_loss_decreases_on_own_data(self):
@@ -97,7 +95,7 @@ class TestSgd:
             y = np.full(40, 2)
             m = init_model("softmax", 6, 4, seed=seed)
             loss0, _ = evaluate(m, x, y)
-            out = sgd_steps(m, x, y, 50, TrainConfig(learning_rate=0.01), rng)
+            out = sgd_steps(m, x, y, 50, LearnerSpec(learning_rate=0.01), rng)
             loss1, _ = evaluate(out, x, y)
             initial.append(loss0)
             final.append(loss1)
@@ -106,14 +104,14 @@ class TestSgd:
     def test_deterministic_given_rng_seed(self):
         x, y = make_batch(50, 5, 3, seed=4)
         m = init_model("softmax", 5, 3, seed=1)
-        a = sgd_steps(m, x, y, 20, TrainConfig(), np.random.default_rng(7))
-        b = sgd_steps(m, x, y, 20, TrainConfig(), np.random.default_rng(7))
+        a = sgd_steps(m, x, y, 20, LearnerSpec(), np.random.default_rng(7))
+        b = sgd_steps(m, x, y, 20, LearnerSpec(), np.random.default_rng(7))
         assert np.array_equal(a.theta, b.theta)
 
     def test_empty_data_raises(self):
         m = init_model("softmax", 5, 3, seed=1)
         with pytest.raises(ValueError):
-            sgd_steps(m, np.empty((0, 5)), np.empty(0, dtype=int), 1, TrainConfig(), np.random.default_rng(0))
+            sgd_steps(m, np.empty((0, 5)), np.empty(0, dtype=int), 1, LearnerSpec(), np.random.default_rng(0))
 
 
 def reference_sgd_steps(m, features, labels, k, cfg, rng):
@@ -139,7 +137,7 @@ class TestFusedKernelMatchesReference:
     def test_bit_identical(self, arch, l2, k, batch, n):
         x, y = make_batch(n, 12, 5, seed=n + batch)
         m = init_model(arch, 12, 5, seed=1, hidden=9)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=batch, l2=l2)
+        cfg = LearnerSpec(learning_rate=0.1, batch_size=batch, l2=l2)
         fused_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
         fused = sgd_steps(m, x, y, k, cfg, fused_rng)
         ref = reference_sgd_steps(m, x, y, k, cfg, ref_rng)
@@ -151,7 +149,7 @@ class TestFusedKernelMatchesReference:
         """Other draws between calls see the generator exactly where the reference leaves it."""
         x, y = make_batch(300, 12, 5, seed=2)
         fused = ref = init_model(arch, 12, 5, seed=1, hidden=9)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=31)
+        cfg = LearnerSpec(learning_rate=0.1, batch_size=31)
         fused_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for k in (3, 7, 1, 70, 5):
             fused = sgd_steps(fused, x, y, k, cfg, fused_rng)
@@ -233,11 +231,3 @@ class TestWeightedAverage:
         b = init_model("softmax", 5, 3, seed=0)
         with pytest.raises(ConfigError):
             weighted_average([a, b], [1.0, 1.0])
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    m = init_model("mlp", 6, 3, seed=4, hidden=8)
-    save_model(m, tmp_path / "model.json")
-    back = load_model(tmp_path / "model.json")
-    assert back.arch == m.arch
-    assert np.array_equal(back.theta, m.theta)

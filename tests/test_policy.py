@@ -3,15 +3,14 @@ import pytest
 
 from xlwalk.errors import ConfigError
 from xlwalk.policy import (
-    ElasticParams,
-    ImportanceParams,
+    ElasticSpec,
+    PolicySpec,
     accuracy_scaled_alpha,
     build_transition,
     data_quality,
     elastic_iterations,
     importance_vector,
     mh_transition,
-    node_importance,
     uniform_transition,
     validate_policy,
 )
@@ -26,6 +25,12 @@ def policy_matrix(pol, n):
         targets, probs = pol.row(i)
         mat[i, targets] = probs
     return mat
+
+
+def node_importance(data_frac, label_frac, centrality, alpha):
+    """One node's importance: `importance_vector` over that node alone, terms left raw."""
+    one = [np.array([v]) for v in (data_frac, label_frac, centrality)]
+    return float(importance_vector(*one, alpha, normalize_terms=False)[0])
 
 
 class TestImportance:
@@ -63,29 +68,29 @@ class TestImportance:
 
 class TestDynamicAlpha:
     def test_lower_bound_maps_exactly(self):
-        assert accuracy_scaled_alpha(0.1, ImportanceParams()) == 0.10
+        assert accuracy_scaled_alpha(0.1, PolicySpec()) == 0.10
 
     def test_upper_bound_maps_exactly(self):
-        assert accuracy_scaled_alpha(0.8, ImportanceParams()) == 0.85
+        assert accuracy_scaled_alpha(0.8, PolicySpec()) == 0.85
 
     def test_midpoint(self):
-        assert accuracy_scaled_alpha(0.45, ImportanceParams()) == pytest.approx(0.475, abs=1e-12)
+        assert accuracy_scaled_alpha(0.45, PolicySpec()) == pytest.approx(0.475, abs=1e-12)
 
     def test_clamped_outside_range(self):
-        p = ImportanceParams()
+        p = PolicySpec()
         assert accuracy_scaled_alpha(0.0, p) == 0.10
         assert accuracy_scaled_alpha(1.0, p) == 0.85
 
     def test_monotone(self):
-        p = ImportanceParams()
+        p = PolicySpec()
         grid = [accuracy_scaled_alpha(a, p) for a in np.linspace(0, 1, 101)]
         assert all(b >= a for a, b in zip(grid, grid[1:]))
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
-            ImportanceParams(acc_min=0.5, acc_max=0.5)
+            PolicySpec(acc_min=0.5, acc_max=0.5)
         with pytest.raises(ConfigError):
-            ImportanceParams(alpha=1.5)
+            PolicySpec(alpha=1.5)
 
 
 class TestBuildTransition:
@@ -190,26 +195,26 @@ class TestDataQuality:
 
 class TestElasticIterations:
     def test_zero_quality_gives_half_max(self):
-        assert elastic_iterations(0.0, ElasticParams()) == 10
+        assert elastic_iterations(0.0, ElasticSpec()) == 10
 
     def test_full_quality_saturates(self):
-        assert elastic_iterations(1.0, ElasticParams()) == 20
+        assert elastic_iterations(1.0, ElasticSpec()) == 20
 
     def test_chained_example(self):
         q = data_quality(0.01, 0.2, 0.4)
-        assert elastic_iterations(q, ElasticParams()) == 12
+        assert elastic_iterations(q, ElasticSpec()) == 12
 
     def test_monotone_and_bounded(self):
-        p = ElasticParams()
+        p = ElasticSpec()
         grid = [elastic_iterations(q, p) for q in np.linspace(0, 1, 200)]
         assert all(b >= a for a, b in zip(grid, grid[1:]))
         assert all(1 <= x <= 20 for x in grid)
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            ElasticParams(x_max=0)
+            ElasticSpec(x_max=0)
         with pytest.raises(ConfigError):
-            elastic_iterations(-0.1, ElasticParams())
+            elastic_iterations(-0.1, ElasticSpec())
 
 
 class TestRowInvariants:

@@ -1,4 +1,6 @@
 """Property tests for the swarm interaction primitives and the memory merge."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlwalk.learner import ModelParams
-from xlwalk.swarm import AttractionConfig, collide, new_swarm, tick_attraction
+from xlwalk.swarm import AttractionSpec, collide, new_swarm, tick_attraction
 from xlwalk.walker import WalkerState, memory_merge
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -60,10 +62,11 @@ def pursuits_symmetric(s) -> bool:
 def test_collide_is_a_group_average(data, memory_enabled):
     s = data.draw(swarms(min_size=2))
     group = sorted(data.draw(st.sets(st.integers(0, s.size - 1), min_size=2)))
-    before = list(s.walkers)
+    records = list(s.walkers)
+    before = [copy.copy(w) for w in s.walkers]  # collide updates the records in place
     clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
 
-    s, weights = collide(s, group, memory_enabled)
+    weights = collide(s, group, memory_enabled)
 
     assert weights == [before[r].samples_since_agg + 1 for r in group]
     merged = s.walkers[group[0]].im
@@ -86,8 +89,9 @@ def test_collide_is_a_group_average(data, memory_enabled):
     assert np.array_equal(s.since_collision[~inside], clocks[~inside])
     assert np.array_equal(s.cooldown[~inside], cooldown[~inside])
     for r in range(s.size):
+        assert s.walkers[r] is records[r]
         if not members[r]:
-            assert s.walkers[r] is before[r]
+            assert all(a is b for a, b in zip(vars(s.walkers[r]).values(), vars(before[r]).values()))
 
 
 @SETTINGS
@@ -110,11 +114,11 @@ def test_memory_merge_with_zero_beta_keeps_im(im, data):
 )
 def test_tick_attraction_clocks_and_pursuits(data, strength, base_coeff, cooldown_max, seed):
     s = data.draw(swarms())
-    cfg = AttractionConfig(strength=strength, base_coeff=base_coeff, cooldown_max=cooldown_max)
+    cfg = AttractionSpec(strength=strength, base_coeff=base_coeff, cooldown_max=cooldown_max)
     clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
     pursuit, homing = list(s.pursuit), list(s.homing)
 
-    s, events = tick_attraction(s, cfg, np.random.default_rng(seed))
+    events = tick_attraction(s, cfg, np.random.default_rng(seed))
 
     off_diag = ~np.eye(s.size, dtype=bool)
     assert np.array_equal(s.since_collision[off_diag], clocks[off_diag] + 1)

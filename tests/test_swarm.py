@@ -5,7 +5,7 @@ from xlwalk.errors import ConfigError
 from xlwalk.learner import ModelParams, init_model
 from xlwalk.policy import mh_transition, uniform_transition, validate_policy
 from xlwalk.swarm import (
-    AttractionConfig,
+    AttractionSpec,
     attraction_probability,
     clique_confined_policy,
     collide,
@@ -48,28 +48,28 @@ class CountingRng:
 
 class TestAttractionProbability:
     def test_fresh_pair_gets_base_coefficient(self):
-        assert attraction_probability(0, AttractionConfig(strength=0.3)) == 0.05
+        assert attraction_probability(0, AttractionSpec(strength=0.3)) == 0.05
 
     def test_zero_strength_is_constant(self):
-        cfg = AttractionConfig(strength=0.0, base_coeff=0.2)
+        cfg = AttractionSpec(strength=0.0, base_coeff=0.2)
         assert attraction_probability(0, cfg) == attraction_probability(500, cfg) == 0.2
 
     def test_caps_at_one(self):
-        cfg = AttractionConfig(strength=0.1, base_coeff=0.05)
+        cfg = AttractionSpec(strength=0.1, base_coeff=0.05)
         assert attraction_probability(30, cfg) == 1.0  # 0.05 * e^3 = 1.0043
 
     def test_monotone_in_elapsed_and_strength(self):
-        cfg = AttractionConfig(strength=0.05, base_coeff=0.01)
+        cfg = AttractionSpec(strength=0.05, base_coeff=0.01)
         probs = [attraction_probability(t, cfg) for t in range(0, 200, 10)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
-        stronger = AttractionConfig(strength=0.2, base_coeff=0.01)
+        stronger = AttractionSpec(strength=0.2, base_coeff=0.01)
         assert attraction_probability(10, stronger) >= attraction_probability(10, cfg)
 
     def test_huge_exponent_does_not_overflow(self):
-        assert attraction_probability(10_000, AttractionConfig(strength=5.0)) == 1.0
+        assert attraction_probability(10_000, AttractionSpec(strength=5.0)) == 1.0
 
     def test_zero_base_disables(self):
-        cfg = AttractionConfig(strength=1.0, base_coeff=0.0)
+        cfg = AttractionSpec(strength=1.0, base_coeff=0.0)
         assert not cfg.enabled
         assert attraction_probability(100, cfg) == 0.0
 
@@ -77,9 +77,9 @@ class TestAttractionProbability:
 class TestTickAttraction:
     def test_clocks_advance(self):
         s = make_swarm([1.0, 2.0], positions=[0, 1])
-        cfg = AttractionConfig(strength=0.0, base_coeff=0.0)
+        cfg = AttractionSpec(enabled=True, strength=0.0, base_coeff=0.0)
         s.cooldown[0, 1] = s.cooldown[1, 0] = 2
-        s, events = tick_attraction(s, cfg, CountingRng([]))
+        events = tick_attraction(s, cfg, CountingRng([]))
         assert s.since_collision[0, 1] == 1
         assert s.cooldown[0, 1] == 1
         assert s.since_collision[0, 0] == 0  # diagonal untouched
@@ -87,24 +87,24 @@ class TestTickAttraction:
 
     def test_trigger_sets_mutual_pursuit(self):
         s = make_swarm([1.0, 2.0], positions=[0, 5])
-        cfg = AttractionConfig(strength=0.0, base_coeff=0.5)
-        s, events = tick_attraction(s, cfg, CountingRng([0.1]))
+        cfg = AttractionSpec(strength=0.0, base_coeff=0.5)
+        events = tick_attraction(s, cfg, CountingRng([0.1]))
         assert s.pursuit == [1, 0]
         assert events == [{"kind": "pursuit_start", "walkers": [0, 1]}]
 
     def test_cooldown_suppresses_draws(self):
         s = make_swarm([1.0, 2.0], positions=[0, 5])
         s.cooldown[0, 1] = s.cooldown[1, 0] = 3
-        cfg = AttractionConfig(strength=0.0, base_coeff=1.0)
-        s, events = tick_attraction(s, cfg, CountingRng([]))  # draw would crash the stub
+        cfg = AttractionSpec(strength=0.0, base_coeff=1.0)
+        events = tick_attraction(s, cfg, CountingRng([]))  # draw would crash the stub
         assert s.pursuit == [None, None]
 
     def test_busy_pairs_skipped(self):
         s = make_swarm([1.0, 2.0, 3.0], positions=[0, 5, 7])
         s.pursuit[0] = 1
         s.pursuit[1] = 0
-        cfg = AttractionConfig(strength=0.0, base_coeff=1.0)
-        s, events = tick_attraction(s, cfg, CountingRng([0.0]))
+        cfg = AttractionSpec(strength=0.0, base_coeff=1.0)
+        events = tick_attraction(s, cfg, CountingRng([0.0]))
         # only the (idle, idle) pair... there is none: 2 is idle but 0,1 busy
         assert s.pursuit == [1, 0, None]
 
@@ -123,7 +123,7 @@ class TestTickAttraction:
 class TestCollide:
     def test_sample_weighted_average(self):
         s = make_swarm([1.0, 5.0], samples=[100, 300])
-        s, weights = collide(s, [0, 1])
+        weights = collide(s, [0, 1])
         assert weights == [101, 301]
         expected = (101 * 1.0 + 301 * 5.0) / 402
         assert s.walkers[0].im.theta[0] == pytest.approx(expected, abs=1e-15)
@@ -132,13 +132,13 @@ class TestCollide:
 
     def test_zero_counters_mean_equal_weights(self):
         s = make_swarm([2.0, 4.0])
-        s, weights = collide(s, [0, 1])
+        weights = collide(s, [0, 1])
         assert weights == [1, 1]
         assert s.walkers[0].im.theta[0] == 3.0
 
     def test_identical_models_unchanged(self):
         s = make_swarm([7.0, 7.0, 7.0], samples=[5, 50, 500])
-        s, _ = collide(s, [0, 1, 2])
+        collide(s, [0, 1, 2])
         assert all(w.im.theta[0] == 7.0 for w in s.walkers)
         assert all(w.samples_since_agg == 0 for w in s.walkers)
 
@@ -146,25 +146,25 @@ class TestCollide:
         s = make_swarm([1.0, 2.0, 3.0])
         s.since_collision[:] = 9
         np.fill_diagonal(s.since_collision, 0)
-        s, _ = collide(s, [0, 2])
+        collide(s, [0, 2])
         assert s.since_collision[0, 2] == 0
         assert s.since_collision[0, 1] == 9  # untouched pair
 
     def test_memory_sync(self):
         s = make_swarm([1.0, 5.0])
-        s, _ = collide(s, [0, 1], memory_enabled=True)
+        collide(s, [0, 1], memory_enabled=True)
         assert np.array_equal(s.walkers[0].sm.theta, s.walkers[0].im.theta)
 
     def test_sm_untouched_without_memory(self):
         s = make_swarm([1.0, 5.0])
         sm_before = [w.sm.theta.copy() for w in s.walkers]
-        s, _ = collide(s, [0, 1], memory_enabled=False)
+        collide(s, [0, 1], memory_enabled=False)
         for w, old in zip(s.walkers, sm_before):
             assert np.array_equal(w.sm.theta, old)
 
     def test_group_of_one_is_noop(self):
         s = make_swarm([1.0], samples=[10])
-        s, weights = collide(s, [0])
+        weights = collide(s, [0])
         assert weights == []
         assert s.walkers[0].samples_since_agg == 10
 
@@ -172,34 +172,33 @@ class TestCollide:
 class TestRendezvous:
     def test_relocates_and_averages(self):
         s = make_swarm([0.0, 10.0], positions=[3, 8], samples=[0, 0])
-        s, weights = rendezvous_tick(s, 10, node=5)
+        weights = rendezvous_tick(s, 10, node=5)
         assert all(w.position == 5 for w in s.walkers)
         assert all(w.im.theta[0] == 5.0 for w in s.walkers)
 
     def test_single_walker_only_relocates(self):
         s = make_swarm([4.0], positions=[2])
-        s, weights = rendezvous_tick(s, 10, node=7)
+        weights = rendezvous_tick(s, 10, node=7)
         assert s.walkers[0].position == 7
         assert s.walkers[0].im.theta[0] == 4.0
 
     def test_off_schedule_rejected(self):
-        from dataclasses import replace
-
         s = make_swarm([1.0, 2.0])
-        s.walkers = [replace(w, jumps=7) for w in s.walkers]
+        for w in s.walkers:
+            w.jumps = 7
         with pytest.raises(ConfigError):
             rendezvous_tick(s, 10, node=0)
 
     def test_uplink_is_rendezvous_without_relocation(self):
         a = make_swarm([0.0, 10.0], positions=[3, 8])
-        a, _ = uplink_aggregate(a)
+        uplink_aggregate(a)
         assert [w.position for w in a.walkers] == [3, 8]
         assert all(w.im.theta[0] == 5.0 for w in a.walkers)
 
     def test_uplink_fixed_point_on_equal_models(self):
         s = make_swarm([6.0, 6.0], positions=[1, 2])
-        s, _ = uplink_aggregate(s)
-        s, _ = uplink_aggregate(s)
+        uplink_aggregate(s)
+        uplink_aggregate(s)
         assert all(w.im.theta[0] == 6.0 for w in s.walkers)
 
 
@@ -238,9 +237,7 @@ class TestPursuitTermination:
                 w = s.walkers[idx]
                 target = steer_target(s, idx)
                 if target != w.position:
-                    from dataclasses import replace
-
-                    s.walkers[idx] = replace(w, position=next_hop_toward(g, w.position, target))
+                    w.position = next_hop_toward(g, w.position, target)
 
 
 class TestCliqueConfined:
@@ -270,7 +267,7 @@ class TestCliqueConfined:
         w = WalkerState(id=0, position=g.clique_members(3)[0], im=m, sm=m)
         rng = np.random.default_rng(5)
         for _ in range(200):
-            w = step(w, pol, rng)
+            step(w, pol, rng)
             assert g.clique_of[w.position] == 3
 
     def test_requires_cliques(self):

@@ -2,26 +2,28 @@ import numpy as np
 import pytest
 
 from xlwalk.errors import ConfigError
-from xlwalk.learner import ModelParams, TrainConfig, init_model
+from xlwalk.learner import LearnerSpec, ModelParams, init_model
 from xlwalk.policy import (
     IMPORTANCE_STATIC,
-    ImportanceParams,
+    PolicySpec,
     TransitionPolicy,
     build_transition,
     importance_vector,
+    mh_transition,
     uniform_transition,
 )
-from xlwalk.topology import gen_connected_caveman
+from xlwalk.swarm import clique_confined_policy
+from xlwalk.topology import betweenness, gen_connected_caveman, gen_rgg
 from xlwalk.walker import (
-    MemoryConfig,
+    MemorySpec,
     WalkerState,
     memory_merge,
     perception_refresh,
-    staged_memory,
     step,
     visit,
 )
 
+from .test_policy import policy_matrix
 from .test_topology import graph_from_edges
 
 
@@ -52,9 +54,9 @@ class TestStep:
             probs=(np.array([1.0]), np.array([1.0])),
         )
         w = fresh_walker(position=0)
-        out = step(w, pol, FixedRng(0.999))
-        assert out.position == 1
-        assert out.jumps == 1
+        step(w, pol, FixedRng(0.999))
+        assert w.position == 1
+        assert w.jumps == 1
 
     def test_inverse_cdf_ascending_order(self):
         # uniform row over {a=1, b=2}: draw 0.3 lands in the first bucket
@@ -63,8 +65,10 @@ class TestStep:
             targets=(np.array([1, 2]),),
             probs=(np.array([0.5, 0.5]),),
         )
-        assert step(fresh_walker(0), pol, FixedRng(0.3)).position == 1
-        assert step(fresh_walker(0), pol, FixedRng(0.7)).position == 2
+        for u, position in [(0.3, 1), (0.7, 2)]:
+            w = fresh_walker(0)
+            step(w, pol, FixedRng(u))
+            assert w.position == position
 
     def test_visit_frequencies_on_triangle(self):
         g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -73,7 +77,7 @@ class TestStep:
         w = fresh_walker(0)
         counts = np.zeros(3)
         for _ in range(100_000):
-            w = step(w, pol, rng)
+            step(w, pol, rng)
             counts[w.position] += 1
         freqs = counts / counts.sum()
         assert np.abs(freqs - 1 / 3).max() < 0.01
@@ -82,25 +86,27 @@ class TestStep:
 class TestVisit:
     def test_empty_node_is_noop(self):
         w = fresh_walker()
-        out = visit(w, np.empty((0, 4)), np.empty(0, dtype=int), 5, TrainConfig(), np.random.default_rng(0))
-        assert out is w
+        im = w.im
+        visit(w, np.empty((0, 4)), np.empty(0, dtype=int), 5, LearnerSpec(), np.random.default_rng(0))
+        assert w.im is im and w.samples_since_agg == 0
 
     def test_counters_track_samples(self):
         w = fresh_walker()
+        before = fresh_walker()
         x = np.random.default_rng(0).normal(size=(30, 4))
         y = np.zeros(30, dtype=int)
-        out = visit(w, x, y, 5, TrainConfig(batch_size=32), np.random.default_rng(1))
-        assert out.samples_since_agg == 160
-        assert out.samples_total == 160
-        assert not np.array_equal(out.im.theta, w.im.theta)
-        assert np.array_equal(out.sm.theta, w.sm.theta)  # only the IM trains
+        visit(w, x, y, 5, LearnerSpec(batch_size=32), np.random.default_rng(1))
+        assert w.samples_since_agg == 160
+        assert not np.array_equal(w.im.theta, before.im.theta)
+        assert np.array_equal(w.sm.theta, before.sm.theta)  # only the IM trains
 
     def test_zero_learning_rate_changes_nothing(self):
         w = fresh_walker()
+        before = w.im
         x = np.random.default_rng(0).normal(size=(30, 4))
         y = np.zeros(30, dtype=int)
-        out = visit(w, x, y, 17, TrainConfig(learning_rate=0.0), np.random.default_rng(1))
-        assert np.array_equal(out.im.theta, w.im.theta)
+        visit(w, x, y, 17, LearnerSpec(learning_rate=0.0), np.random.default_rng(1))
+        assert np.array_equal(w.im.theta, before.theta)
 
 
 class TestMemoryMerge:
@@ -123,13 +129,13 @@ class TestMemoryMerge:
         assert out.sm.theta[0] == 2.0
 
     def test_models_identical_after_merge(self):
-        w = fresh_walker()
-        trained = visit(
-            w,
+        trained = fresh_walker()
+        visit(
+            trained,
             np.random.default_rng(0).normal(size=(20, 4)),
             np.zeros(20, dtype=int),
             3,
-            TrainConfig(),
+            LearnerSpec(),
             np.random.default_rng(2),
         )
         out = memory_merge(trained, 0.3)
@@ -142,8 +148,7 @@ class TestMemoryMerge:
 
 class TestMemoryConfig:
     def test_staged_thresholds(self):
-        cfg = staged_memory(300)
-        assert cfg.schedule == ((0, 0.0), (100, 0.2), (200, 0.4))
+        cfg = MemorySpec(enabled=True, schedule=((0, 0.0), (100, 0.2), (200, 0.4)))
         assert cfg.beta_at(0) == 0.0
         assert cfg.beta_at(99) == 0.0
         assert cfg.beta_at(100) == 0.2
@@ -151,11 +156,11 @@ class TestMemoryConfig:
 
     def test_thresholds_must_increase(self):
         with pytest.raises(ConfigError):
-            MemoryConfig(enabled=True, schedule=((10, 0.1), (10, 0.2)))
+            MemorySpec(enabled=True, schedule=((10, 0.1), (10, 0.2)))
 
     def test_beta_range_checked(self):
         with pytest.raises(ConfigError):
-            MemoryConfig(enabled=True, schedule=((0, 1.5),))
+            MemorySpec(enabled=True, schedule=((0, 1.5),))
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +182,15 @@ class TestPerception:
 
     def test_accuracy_bounds_match_static_policies(self, world, monkeypatch):
         g, d, l, c, val_x, val_y = world
-        params = ImportanceParams()
+        params = PolicySpec()
         for acc, alpha in [(0.1, 0.10), (0.8, 0.85)]:
             monkeypatch.setattr("xlwalk.walker.evaluate", lambda *a, acc=acc: (0.5, acc))
             static = build_transition(
                 g, importance_vector(d, l, c, alpha, True), kind=IMPORTANCE_STATIC
             )
             for i in range(g.node_count):
-                out, pol = perception_refresh(fresh_walker(position=i), val_x, val_y, params, d, l, c, g)
+                out = fresh_walker(position=i)
+                pol = perception_refresh(out, val_x, val_y, params, d, l, c, g)
                 assert out.cached_accuracy == acc
                 assert out.cached_loss == 0.5
                 assert pol.nodes() == [i]
@@ -195,8 +201,8 @@ class TestPerception:
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
             w = fresh_walker(position=i)
-            _, pol_a = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
-            _, pol_b = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
+            pol_a = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
+            pol_b = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
             assert np.array_equal(pol_a.row(i)[1], pol_b.row(i)[1])
 
     def test_constant_stub_degenerates_to_static(self, world, monkeypatch):
@@ -206,14 +212,14 @@ class TestPerception:
             w = fresh_walker(position=i)
             policies = []
             for _ in range(3):
-                w, pol = perception_refresh(w, val_x, val_y, ImportanceParams(), d, l, c, g)
+                pol = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
                 policies.append(pol)
             for pol in policies[1:]:
                 assert np.array_equal(pol.row(i)[1], policies[0].row(i)[1])
 
     def test_other_rows_are_not_built(self, world):
         g, d, l, c, val_x, val_y = world
-        _, pol = perception_refresh(fresh_walker(position=3), val_x, val_y, ImportanceParams(), d, l, c, g)
+        pol = perception_refresh(fresh_walker(position=3), val_x, val_y, PolicySpec(), d, l, c, g)
         with pytest.raises(KeyError):
             pol.row(4)
 
@@ -225,6 +231,77 @@ class TestPerception:
         garbage = ModelParams("softmax", 4, 3, 0, np.full(15, 999.0))
         w2 = WalkerState(id=0, position=0, im=w1.im, sm=garbage)
         for seed in range(5):
-            w1 = visit(w1, x, y, 4, TrainConfig(), np.random.default_rng(seed))
-            w2 = visit(w2, x, y, 4, TrainConfig(), np.random.default_rng(seed))
+            visit(w1, x, y, 4, LearnerSpec(), np.random.default_rng(seed))
+            visit(w2, x, y, 4, LearnerSpec(), np.random.default_rng(seed))
         assert np.array_equal(w1.im.theta, w2.im.theta)
+
+
+def chain_law_case(name):
+    """(policy, nodes the walk lives on) for one chain-law case."""
+    g = gen_rgg(20, 0.45, 0) if name.endswith("rgg") else gen_connected_caveman(3, 15, 0)
+    kind = name.split("-")[0]
+    if kind == "uniform":
+        return uniform_transition(g), list(range(g.node_count))
+    if kind == "mh":
+        return mh_transition(g), list(range(g.node_count))
+    if kind == "importance":
+        rng = np.random.default_rng(3)
+        imp = importance_vector(rng.random(g.node_count), rng.random(g.node_count),
+                                np.array(betweenness(g).normalized), alpha=0.5)
+        return build_transition(g, imp, kind=IMPORTANCE_STATIC), list(range(g.node_count))
+    # confined to clique 1, the chain is irreducible on that clique alone
+    return clique_confined_policy(g, uniform_transition(g), walker_home=1), g.clique_members(1)
+
+
+class TestChainLaw:
+    """A long static walk through `step` visits nodes at the stationary law of its policy.
+
+    Every chain here is reversible (checked below), with stationary law pi
+    and absolute spectral gap gap = 1 - lambda*, lambda* the second largest
+    eigenvalue modulus. For a reversible chain the occupation frequency f_i
+    of a T-step walk has T * Var(f_i) <= (1 + lambda*) / (1 - lambda*) *
+    pi_i (1 - pi_i) <= 2 pi_i (1 - pi_i) / gap, so
+
+        E[TV(f, pi)] <= 1/2 * sum_i sqrt(2 pi_i (1 - pi_i) / (gap T))
+                        + 1/2 * sqrt((1 - pi_x) / pi_x) / (gap T),
+
+    the second term bounding the bias of starting at node x. The test
+    allows three times that. At T = 40,000 that is 0.03 to 0.14 here, while
+    sampling targets uniformly instead of by the row's probabilities puts
+    the importance walks 0.2 or more away from pi.
+    """
+
+    STEPS = 40_000
+
+    @pytest.mark.parametrize("name", [
+        "uniform-caveman", "mh-caveman", "importance-caveman",
+        "uniform-rgg", "mh-rgg", "importance-rgg",
+        "confined-caveman",
+    ])
+    def test_visit_frequencies_match_stationary_law(self, name):
+        pol, nodes = chain_law_case(name)
+        n = len(nodes)
+        mat = policy_matrix(pol, max(nodes) + 1)[np.ix_(nodes, nodes)]
+        assert np.allclose(mat.sum(axis=1), 1.0)
+        vals, vecs = np.linalg.eig(mat.T)
+        pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        pi = pi / pi.sum()
+        flow = pi[:, None] * mat
+        assert np.allclose(flow, flow.T, atol=1e-12)  # detailed balance: the chain is reversible
+        gap = 1.0 - np.sort(np.abs(vals))[-2]
+        assert gap > 0.0
+
+        start = int(np.argmax(pi))
+        w = fresh_walker(position=nodes[start])
+        rng = np.random.default_rng(11)
+        visits = np.zeros(max(nodes) + 1)
+        for _ in range(self.STEPS):
+            step(w, pol, rng)
+            visits[w.position] += 1
+        assert visits[nodes].sum() == self.STEPS  # the walk never left its nodes
+        freq = visits[nodes] / self.STEPS
+
+        expected = 0.5 * np.sqrt(2.0 * pi * (1.0 - pi) / (gap * self.STEPS)).sum()
+        expected += 0.5 * np.sqrt((1.0 - pi[start]) / pi[start]) / (gap * self.STEPS)
+        tv = 0.5 * np.abs(freq - pi).sum()
+        assert tv <= 3.0 * expected, (name, n, tv, expected)
