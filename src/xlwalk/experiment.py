@@ -217,7 +217,6 @@ def set_config_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig
 class Environment:
     graph: topology.Graph
     centrality: topology.Centrality
-    dataset: datahub.Dataset
     partition: datahub.Partition
     node_features: list[np.ndarray]
     node_labels: list[np.ndarray]
@@ -255,7 +254,6 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
     return Environment(
         graph=g,
         centrality=topology.betweenness(g),
-        dataset=ds,
         partition=part,
         node_features=node_features,
         node_labels=node_labels,

@@ -2,12 +2,15 @@
 
 Two architectures share one flat parameter vector: multinomial softmax
 regression and a single tanh hidden layer. Training is plain mini-batch SGD
-on cross-entropy with optional L2. `sgd_steps` updates a private copy of the
-caller's parameters in place and returns it in a new model, so the caller's
-theta is never aliased and callers can keep multiple model copies.
+on cross-entropy with optional L2. `sgd_steps` trains in a per-process
+workspace and returns a fresh copy of the result in a new model, so the
+caller's theta is never aliased and callers can keep multiple model copies.
+`evaluate` scores in a class-major layout whose operations reproduce the
+sample-major `_log_softmax` bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -92,15 +95,6 @@ def _split_mlp(m: ModelParams):
     return w1, w2
 
 
-def _logits(m: ModelParams, features: np.ndarray) -> np.ndarray:
-    if m.arch == SOFTMAX:
-        w = m.theta.reshape(m.n_classes, m.n_dims + 1)
-        return features @ w[:, :-1].T + w[:, -1]
-    w1, w2 = _split_mlp(m)
-    h = np.tanh(features @ w1[:, :-1].T + w1[:, -1])
-    return h @ w2[:, :-1].T + w2[:, -1]
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -146,36 +140,39 @@ def loss_and_grad(
 _CHUNK_STEPS = 64
 
 
-def _sgd_kernel(m: ModelParams, theta: np.ndarray, batch: int, cfg: LearnerSpec):
-    """One in-place SGD step on theta, as a closure over preallocated buffers.
+@functools.lru_cache(maxsize=16)
+def _sgd_workspace(arch: str, n_dims: int, n_classes: int, hidden: int, cfg: LearnerSpec):
+    """A theta buffer and the SGD step that updates it in place, kept per model shape and spec.
 
     The step performs `loss_and_grad`'s floating-point operations in the same
     order on the same operand layouts, so theta matches `theta -= lr * grad`
     bit for bit. It skips only what the update does not read: the loss value.
     """
+    theta = np.empty(param_length(arch, n_dims, n_classes, hidden))
     grad = np.empty(theta.size)
-    if m.arch == SOFTMAX:
+    batch = cfg.batch_size
+    if arch == SOFTMAX:
         w_in = None
-        w_out = theta.reshape(m.n_classes, m.n_dims + 1)
-        g_out = grad.reshape(m.n_classes, m.n_dims + 1)
+        w_out = theta.reshape(n_classes, n_dims + 1)
+        g_out = grad.reshape(n_classes, n_dims + 1)
     else:
-        cut = m.hidden * (m.n_dims + 1)
-        w_in = theta[:cut].reshape(m.hidden, m.n_dims + 1)
-        w_out = theta[cut:].reshape(m.n_classes, m.hidden + 1)
-        g_in = grad[:cut].reshape(m.hidden, m.n_dims + 1)
-        g_out = grad[cut:].reshape(m.n_classes, m.hidden + 1)
+        cut = hidden * (n_dims + 1)
+        w_in = theta[:cut].reshape(hidden, n_dims + 1)
+        w_out = theta[cut:].reshape(n_classes, hidden + 1)
+        g_in = grad[:cut].reshape(hidden, n_dims + 1)
+        g_out = grad[cut:].reshape(n_classes, hidden + 1)
         w_in_t, b_in = w_in[:, :-1].T, w_in[:, -1]
         g_in_w, g_in_b = g_in[:, :-1], g_in[:, -1]
-        h = np.empty((batch, m.hidden))
-        back = np.empty((batch, m.hidden))
+        h = np.empty((batch, hidden))
+        back = np.empty((batch, hidden))
         back_t = back.T
-        slope = np.empty((batch, m.hidden))
+        slope = np.empty((batch, hidden))
     w_out_w, b_out = w_out[:, :-1], w_out[:, -1]
     w_out_t = w_out_w.T
     g_out_w, g_out_b = g_out[:, :-1], g_out[:, -1]
-    logits = np.empty((batch, m.n_classes))
-    scratch = np.empty((batch, m.n_classes))
-    probs = np.empty((batch, m.n_classes))
+    logits = np.empty((batch, n_classes))
+    scratch = np.empty((batch, n_classes))
+    probs = np.empty((batch, n_classes))
     probs_t = probs.T
     row = np.empty((batch, 1))
     decay = np.empty(theta.size) if cfg.l2 > 0.0 else None
@@ -216,7 +213,7 @@ def _sgd_kernel(m: ModelParams, theta: np.ndarray, batch: int, cfg: LearnerSpec)
         multiply(grad, lr, out=grad)
         subtract(theta, grad, out=theta)
 
-    return step
+    return theta, step
 
 
 def sgd_steps(
@@ -233,14 +230,18 @@ def sgd_steps(
     `loss_and_grad` and `theta -= lr * grad`, and leaves rng in the same
     state: one `(steps, B)` draw per chunk yields the same index stream as
     that many `B`-sized draws.
+
+    Training runs in a workspace cached per model shape and spec, which is
+    per-process scratch: `run_many` parallelizes with processes, never threads,
+    so no two calls share it at once. The returned theta is a fresh copy.
     """
     if features.shape[0] == 0:
         raise ValueError("cannot train on an empty sample set")
     if k < 1:
         raise ConfigError("need at least one SGD step")
-    theta = m.theta.copy()
+    theta, step = _sgd_workspace(m.arch, m.n_dims, m.n_classes, m.hidden, cfg)
+    theta[...] = m.theta
     batch = cfg.batch_size
-    step = _sgd_kernel(m, theta, batch, cfg)
     classes = np.arange(m.n_classes)
     n = features.shape[0]
     for done in range(0, k, _CHUNK_STEPS):
@@ -248,17 +249,80 @@ def sgd_steps(
         onehots = (labels[idx][..., None] == classes).astype(np.float64)
         for x, onehot in zip(features[idx], onehots):
             step(x, onehot)
-    return replace(m, theta=theta)
+    return replace(m, theta=theta.copy())
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sums the rows of a (C, N) array: `np.add.reduce(e.T, axis=1)`, bit for bit.
+
+    Each column is added in numpy's pairwise order for a contiguous run of C
+    values, with every step a vector operation over the N columns: below 8
+    terms, in sequence; up to 128, eight accumulators over blocks of 8, folded
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in sequence;
+    above 128, the two halves split at a multiple of 8, recursively.
+    """
+    c = e.shape[0]
+    if c < 8:
+        total = e[0].copy()
+        for i in range(1, c):
+            total += e[i]
+        return total
+    if c <= 128:
+        blocks = c - c % 8
+        acc = e[0:8]
+        for i in range(8, blocks, 8):
+            acc = acc + e[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        total = quads[0] + quads[1]
+        for i in range(blocks, c):
+            total += e[i]
+        return total
+    half = c // 2
+    half -= half % 8
+    return _class_sum(e[:half]) + _class_sum(e[half:])
+
+
+def _class_logits(m: ModelParams, features: np.ndarray) -> np.ndarray:
+    """The logits as a class-major (C, N) array, equal to `loss_and_grad`'s (N, C) ones.
+
+    The products keep the sample-major operand layouts: `W @ features.T`
+    can reach other BLAS kernels, whose sums differ in the last bit on some
+    shapes. Only the finished (N, C) product is transposed.
+    """
+    if m.arch == SOFTMAX:
+        w = m.theta.reshape(m.n_classes, m.n_dims + 1)
+        a = features
+    else:
+        w1, w = _split_mlp(m)
+        a = np.tanh(features @ w1[:, :-1].T + w1[:, -1])
+    logits = np.ascontiguousarray((a @ w[:, :-1].T).T)
+    logits += w[:, -1:]
+    return logits
 
 
 def evaluate(m: ModelParams, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy and top-1 accuracy on the given samples."""
-    if features.shape[0] == 0:
+    """Mean cross-entropy and top-1 accuracy on the given samples.
+
+    Everything after the logits runs class-major, (C, N), so each reduction
+    over classes is a handful of vector operations over the samples. The
+    result equals `_log_softmax`, a per-sample gather and an `argmax` with its
+    first-index tie rule, bit for bit.
+    """
+    n = features.shape[0]
+    if n == 0:
         raise ValueError("cannot evaluate on an empty sample set")
-    logp = _log_softmax(_logits(m, features))
-    loss = -logp[np.arange(features.shape[0]), labels].mean()
-    accuracy = float((logp.argmax(axis=1) == labels).mean())
-    return float(loss), accuracy
+    logp = _class_logits(m, features)
+    logp -= np.maximum.reduce(logp, 0)
+    logp -= np.log(_class_sum(np.exp(logp)))
+    picked = np.take(logp, labels * n + np.arange(n))  # logp[labels[i], i] in the (C, N) layout
+    loss = -(np.add.reduce(picked) / n)
+    top = np.maximum.reduce(logp, 0)
+    if np.count_nonzero(logp == top) == n and not np.isnan(top).any():
+        hits = picked == top  # one top class per sample: a hit iff it is the label
+    else:
+        hits = logp.argmax(axis=0) == labels  # ties or NaN: argmax takes the first
+    return float(loss), float(np.count_nonzero(hits) / n)
 
 
 def weighted_average(models: list[ModelParams], weights: list[float]) -> ModelParams:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xlwalk
 from xlwalk.cli import main
 from xlwalk.datahub import load_dataset
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
@@ -222,6 +227,16 @@ class TestPreset:
         with pytest.raises(SystemExit) as exc:
             main(["preset", "fig9"])
         assert exc.value.code == 2
+
+    def test_module_entry_point(self, capsys):
+        """`python -m xlwalk` runs the same CLI as `main`."""
+        src = str(Path(xlwalk.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "xlwalk", "preset", "fig6", "--show-config"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["preset", "fig6", "--show-config"]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestReport:

@@ -9,6 +9,11 @@ from xlwalk.learner import (
     _CHUNK_STEPS,
     LearnerSpec,
     ModelParams,
+    _class_logits,
+    _class_sum,
+    _log_softmax,
+    _sgd_workspace,
+    _split_mlp,
     evaluate,
     init_model,
     loss_and_grad,
@@ -157,6 +162,141 @@ class TestFusedKernelMatchesReference:
             assert fused_rng.random() == ref_rng.random()
         assert np.array_equal(fused.theta, ref.theta)
         assert fused_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSgdWorkspace:
+    """The cached per-process workspace never leaks into a returned model."""
+
+    def test_result_does_not_share_workspace(self):
+        x, y = make_batch(40, 6, 3, seed=0)
+        m = init_model("softmax", 6, 3, seed=1)
+        cfg = LearnerSpec(learning_rate=0.1, batch_size=8)
+        a = sgd_steps(m, x, y, 3, cfg, np.random.default_rng(0))
+        b = sgd_steps(m, x, y, 3, cfg, np.random.default_rng(1))
+        workspace, _ = _sgd_workspace("softmax", 6, 3, 0, cfg)
+        for theta in (a.theta, b.theta):
+            assert not np.shares_memory(theta, workspace)
+        assert not np.shares_memory(a.theta, b.theta)
+
+    def test_second_call_leaves_first_result(self):
+        x, y = make_batch(40, 6, 3, seed=0)
+        m = init_model("mlp", 6, 3, seed=1, hidden=5)
+        cfg = LearnerSpec(arch="mlp", hidden=5, learning_rate=0.1, batch_size=8)
+        first = sgd_steps(m, x, y, 4, cfg, np.random.default_rng(0))
+        before = first.theta.tobytes()
+        sgd_steps(first, x, y, 4, cfg, np.random.default_rng(1))
+        assert first.theta.tobytes() == before
+
+    def test_interleaved_specs_and_shapes(self):
+        """Alternating calls over two specs and two model shapes each match the reference loop."""
+        small, wide = make_batch(120, 6, 3, seed=2), make_batch(120, 9, 4, seed=3)
+        specs = [LearnerSpec(learning_rate=0.1, batch_size=8),
+                 LearnerSpec(learning_rate=0.05, batch_size=5, l2=0.01)]
+        lanes = []
+        for (x, y), dims, classes in ((small, 6, 3), (wide, 9, 4)):
+            for i, cfg in enumerate(specs):
+                m = init_model("softmax", dims, classes, seed=i)
+                lanes.append([x, y, cfg, m, m, np.random.default_rng(i), np.random.default_rng(i)])
+        for k in (1, 5, 3, 70):
+            for lane in lanes:
+                x, y, cfg, fused, ref, fused_rng, ref_rng = lane
+                lane[3] = sgd_steps(fused, x, y, k, cfg, fused_rng)
+                lane[4] = reference_sgd_steps(ref, x, y, k, cfg, ref_rng)
+                assert np.array_equal(lane[3].theta, lane[4].theta)
+                assert fused_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_logits(m, features):
+    if m.arch == "softmax":
+        w = m.theta.reshape(m.n_classes, m.n_dims + 1)
+        return features @ w[:, :-1].T + w[:, -1]
+    w1, w2 = _split_mlp(m)
+    h = np.tanh(features @ w1[:, :-1].T + w1[:, -1])
+    return h @ w2[:, :-1].T + w2[:, -1]
+
+
+def reference_evaluate(m, features, labels):
+    """The sample-major evaluation the class-major `evaluate` must reproduce bit for bit."""
+    logp = _log_softmax(reference_logits(m, features))
+    loss = -logp[np.arange(features.shape[0]), labels].mean()
+    accuracy = float((logp.argmax(axis=1) == labels).mean())
+    return float(loss), accuracy
+
+
+class TestEvaluateMatchesReference:
+    """Equal (loss, accuracy) to the sample-major reference, compared with ==."""
+
+    ARCHS = [("softmax", 0), ("mlp", 1), ("mlp", 64)]
+
+    @staticmethod
+    def model(arch, hidden, dims, classes, seed):
+        m = init_model(arch, dims, classes, seed=seed, hidden=hidden)
+        theta = np.random.default_rng(seed).normal(0.0, 1.5, m.theta.shape)
+        return ModelParams(arch, dims, classes, m.hidden, theta)
+
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 129, 200])
+    @pytest.mark.parametrize("dims", [1, 5, 32])
+    @pytest.mark.parametrize("arch,hidden", ARCHS)
+    def test_shapes(self, arch, hidden, dims, classes):
+        for n in (1, 2, 7, 33, 1000):
+            x, y = make_batch(n, dims, classes, seed=n + dims + classes)
+            m = self.model(arch, hidden, dims, classes, seed=n)
+            assert evaluate(m, x, y) == reference_evaluate(m, x, y)
+
+    @pytest.mark.parametrize("n,dims,classes", [(7, 32, 10), (100, 100, 64), (33, 128, 129)])
+    @pytest.mark.parametrize("arch,hidden", ARCHS)
+    def test_logits_keep_sample_major_products(self, arch, hidden, n, dims, classes):
+        """Shapes where `W @ features.T` differs from `features @ W.T` in the last bit."""
+        x, _ = make_batch(n, dims, classes, seed=n)
+        m = self.model(arch, hidden, dims, classes, seed=dims)
+        assert np.array_equal(_class_logits(m, x), reference_logits(m, x).T)
+
+    @pytest.mark.parametrize("arch,hidden", ARCHS)
+    def test_all_zero_theta_ties_every_class(self, arch, hidden):
+        x, y = make_batch(300, 5, 10, seed=4)
+        m = init_model(arch, 5, 10, seed=0, hidden=hidden)
+        m = ModelParams(arch, 5, 10, m.hidden, np.zeros_like(m.theta))
+        assert evaluate(m, x, y) == reference_evaluate(m, x, y)
+
+    def test_duplicated_rows_label_on_later_tied_class(self):
+        """Classes 3, 5 and 8 share one row; argmax picks 3, so a label on 8 is never a hit."""
+        x, y = make_batch(500, 6, 10, seed=5)
+        w = np.random.default_rng(6).normal(0.0, 2.0, (10, 7))
+        w[3] = w[5] = w[8]
+        y = np.where(np.arange(500) % 2 == 0, 8, y)
+        m = ModelParams("softmax", 6, 10, 0, w.ravel())
+        loss, acc = evaluate(m, x, y)
+        assert (loss, acc) == reference_evaluate(m, x, y)
+        relabeled = np.where(y == 8, 3, y)
+        assert evaluate(m, x, relabeled)[1] > acc
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_logits(self, bad):
+        """Columns of NaN log-probabilities score as argmax scores them: the first NaN wins."""
+        x, y = make_batch(200, 4, 6, seed=10)
+        w = np.random.default_rng(11).normal(0.0, 1.0, (6, 5))
+        w[2, 0] = bad
+        m = ModelParams("softmax", 4, 6, 0, w.ravel())
+        with np.errstate(invalid="ignore"):
+            loss, acc = evaluate(m, x, y)
+            ref_loss, ref_acc = reference_evaluate(m, x, y)
+        assert math.isnan(loss) and math.isnan(ref_loss)
+        assert acc == ref_acc
+
+    @pytest.mark.parametrize("arch,hidden", ARCHS)
+    def test_sliced_features(self, arch, hidden):
+        x, y = make_batch(400, 12, 10, seed=7)
+        m = self.model(arch, hidden, 5, 10, seed=8)
+        view = x[::3, 2:12:2]
+        assert not view.flags.c_contiguous
+        assert evaluate(m, view, y[::3]) == reference_evaluate(m, view, y[::3])
+
+    def test_class_sum_follows_numpy_order(self):
+        """A numpy whose add.reduce order differs from `_class_sum` must fail here, not move bytes."""
+        rng = np.random.default_rng(9)
+        for classes in range(1, 301):
+            x = rng.normal(size=(17, classes)) * rng.uniform(0.1, 10.0)
+            assert np.array_equal(_class_sum(np.ascontiguousarray(x.T)), np.add.reduce(x, axis=1))
 
 
 class TestEvaluate:
