@@ -324,6 +324,23 @@ def _base_policy(env: Environment, cfg: ExperimentConfig) -> TransitionPolicy:
     return policy.build_transition(env.graph, imp, kind=IMPORTANCE_STATIC)
 
 
+def _visit_budget(env: Environment, cfg: ExperimentConfig) -> list[int]:
+    """SGD steps of one visit to each node: 0 on an empty node, else the elastic or fixed budget."""
+    part = env.partition
+    budget = []
+    for node, labels in enumerate(env.node_labels):
+        if labels.shape[0] == 0:
+            budget.append(0)
+        elif cfg.elastic.enabled:
+            quality = policy.data_quality(
+                float(part.data_frac[node]), float(part.label_frac[node]), cfg.elastic.tau2
+            )
+            budget.append(policy.elastic_iterations(quality, cfg.elastic))
+        else:
+            budget.append(cfg.iters_per_visit)
+    return budget
+
+
 def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: list[int] | None = None) -> RunResult:
     """Execute one full run over a prebuilt environment.
 
@@ -348,30 +365,25 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     centrality_vec = np.array(env.centrality.normalized)
 
     dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
+    budget = _visit_budget(env, cfg)
 
-    def confine(pol: TransitionPolicy, w: walker.WalkerState) -> TransitionPolicy:
-        if not cfg.confine_cliques:
-            return pol
-        return swarm.clique_confined_policy(g, pol, w.home_clique)
+    def confine(pol: TransitionPolicy) -> TransitionPolicy:
+        return swarm.clique_confined_policy(g, pol) if cfg.confine_cliques else pol
 
     def refresh(w: walker.WalkerState) -> TransitionPolicy:
-        pol = walker.perception_refresh(
+        return confine(walker.perception_refresh(
             w, env.val_features, env.val_labels, cfg.policy,
             env.partition.data_frac, env.partition.label_frac,
             centrality_vec, g,
-        )
-        return confine(pol, w)
+        ))
 
     if dynamic:
         policies = [refresh(w) for w in s.walkers]
-    else:
-        shared = _base_policy(env, cfg)
-        policies = [confine(shared, w) for w in s.walkers]
+    else:  # no static row depends on the walker: one confined policy serves them all
+        policies = [confine(_base_policy(env, cfg))] * len(ids)
 
     events: list[dict] = []
     rows: list[tuple] = []
-    collision_count = 0
-    collision_intervals: list[int] = []
 
     def log_swarm_event(ev: dict, t: int, **extra) -> None:
         """Stamp a swarm event with the run and jump, map its walker indices to ids, log it.
@@ -429,20 +441,8 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         tick_visits: list[dict] = []
         for w in s.walkers:
             node = w.position
-            x, y = env.node_features[node], env.node_labels[node]
-            if cfg.elastic.enabled:
-                quality = policy.data_quality(
-                    float(env.partition.data_frac[node]),
-                    float(env.partition.label_frac[node]),
-                    cfg.elastic.tau2,
-                )
-                iters = policy.elastic_iterations(quality, cfg.elastic)
-            else:
-                iters = cfg.iters_per_visit
-            if x.shape[0] == 0:
-                iters = 0
-            else:
-                walker.visit(w, x, y, iters, cfg.learner, w.rng)
+            iters = budget[node]
+            walker.visit(w, env.node_features[node], env.node_labels[node], iters, cfg.learner, w.rng)
             w.cum_iters += iters
             ev = {"run_id": run_id, "t": t, "kind": "visit", "walker_id": w.id,
                   "node": node, "iters": iters}
@@ -459,10 +459,8 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         # 5. collisions: co-location, then rendezvous, then uplink
         if interactions_on:
             for group in swarm.colocated_groups(s):
-                pairs = [(r, q) for i, r in enumerate(group) for q in group[i + 1:]]
-                if not any(s.cooldown[r, q] == 0 for r, q in pairs):
+                if all(s.cooldown[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
                     continue
-                intervals = [int(s.since_collision[r, q]) for r, q in pairs]
                 node = s.walkers[group[0]].position
                 weights = swarm.collide(s, group, cfg.memory.enabled)
                 for ev in swarm.end_pursuits(s, group):
@@ -472,8 +470,6 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
                     home = s.walkers[idx].home_clique
                     if home is not None and g.clique_of[node] != home:
                         s.homing[idx] = swarm.nearest_clique_node(g, node, home)
-                collision_count += 1
-                collision_intervals.extend(intervals)
                 events.append({"run_id": run_id, "t": t, "kind": "collide",
                                "trigger": "colocation", "walkers": [ids[i] for i in group],
                                "node": node, "weights": weights})
@@ -503,17 +499,8 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
                 ev["loss"] = loss
                 ev["acc"] = acc
 
-    last_t = max(r[0] for r in rows)
-    final_acc = float(np.mean([r[3] for r in rows if r[0] == last_t]))
-    metrics = MetricsRecord(
-        series=cfg.series_label,
-        seed=seed,
-        walker_ids=list(ids),
-        rows=rows,
-        collision_count=collision_count,
-        collision_intervals=collision_intervals,
-        final_accuracy=final_acc,
-    )
+    collisions = _collisions_from_events(events).get(run_id, (0, []))
+    metrics = _metrics_record(cfg.series_label, seed, list(ids), rows, collisions)
     return RunResult(run_id=run_id, series=cfg.series_label, seed=seed, events=events, metrics=metrics)
 
 
@@ -649,22 +636,15 @@ def summarize(records: list[MetricsRecord]) -> str:
         by_t: dict[int, list[float]] = {}
         for row in rec.rows:
             by_t.setdefault(row[0], []).append(float(row[col]))
-        return {t: reduce(vals) for t, vals in by_t.items()}
+        return {t: float(reduce(vals)) for t, vals in by_t.items()}
 
-    for series in sorted(by_series):
-        recs = by_series[series]
-        curves = [per_jump(rec, 3, lambda v: float(np.mean(v))) for rec in recs]
-        ts = sorted(set.intersection(*[set(c) for c in curves]))
-        for t in ts:
-            mean, std = _mean_std([c[t] for c in curves])
-            w.writerow(["accuracy_vs_jump", series, t, repr(mean), repr(std), len(recs)])
-    for series in sorted(by_series):
-        recs = by_series[series]
-        curves = [per_jump(rec, 4, lambda v: float(np.sum(v))) for rec in recs]
-        ts = sorted(set.intersection(*[set(c) for c in curves]))
-        for t in ts:
-            mean, std = _mean_std([c[t] for c in curves])
-            w.writerow(["cum_sgd_vs_jump", series, t, repr(mean), repr(std), len(recs)])
+    for table, col, reduce in (("accuracy_vs_jump", 3, np.mean), ("cum_sgd_vs_jump", 4, np.sum)):
+        for series in sorted(by_series):
+            recs = by_series[series]
+            curves = [per_jump(rec, col, reduce) for rec in recs]
+            for t in sorted(set.intersection(*[set(c) for c in curves])):
+                mean, std = _mean_std([c[t] for c in curves])
+                w.writerow([table, series, t, repr(mean), repr(std), len(recs)])
     for series in sorted(by_series):
         recs = by_series[series]
         mean, std = _mean_std([rec.final_accuracy for rec in recs])
@@ -684,8 +664,9 @@ def _collisions_from_events(events: Iterable[dict]) -> dict[str, tuple[int, list
 
     A pair's interval is the jump of the collision minus the last jump at
     which both walkers took part in a collide (co-location or uplink) or
-    rendezvous event, or 0 if they never did; this is the pair clock the
-    simulation logs.
+    rendezvous event, or 0 if they never did. This replay is the one
+    definition of the intervals that `simulate` records and `report` rebuilds;
+    it equals the pair clock that drives attraction at each collision.
     """
     last: dict[tuple[str, int, int], int] = {}
     out: dict[str, tuple[int, list[int]]] = {}
@@ -703,6 +684,22 @@ def _collisions_from_events(events: Iterable[dict]) -> dict[str, tuple[int, list
     return out
 
 
+def _metrics_record(series: str, seed: int, walker_ids: list[int], rows: list[tuple],
+                    collisions: tuple[int, list[int]]) -> MetricsRecord:
+    """A run's record; its final accuracy is the walkers' mean at the last evaluated jump."""
+    last_t = max(r[0] for r in rows)
+    count, intervals = collisions
+    return MetricsRecord(
+        series=series,
+        seed=seed,
+        walker_ids=walker_ids,
+        rows=rows,
+        collision_count=count,
+        collision_intervals=intervals,
+        final_accuracy=float(np.mean([r[3] for r in rows if r[0] == last_t])),
+    )
+
+
 def metrics_from_csv(text: str, events: Iterable[dict] | None = None) -> list[MetricsRecord]:
     """Rebuild records from a metrics.csv produced by metrics_to_csv.
 
@@ -718,20 +715,8 @@ def metrics_from_csv(text: str, events: Iterable[dict] | None = None) -> list[Me
             (int(line["t"]), int(line["walker"]), float(line["loss"]),
              float(line["acc"]), int(line["cum_iters"]))
         )
-    records = []
-    for (series, seed), rows in sorted(grouped.items()):
-        last_t = max(r[0] for r in rows)
-        final = float(np.mean([r[3] for r in rows if r[0] == last_t]))
-        count, intervals = collisions.get(f"{series}:{seed}", (0, []))
-        records.append(
-            MetricsRecord(
-                series=series,
-                seed=seed,
-                walker_ids=sorted({r[1] for r in rows}),
-                rows=rows,
-                collision_count=count,
-                collision_intervals=intervals,
-                final_accuracy=final,
-            )
-        )
-    return records
+    return [
+        _metrics_record(series, seed, sorted({r[1] for r in rows}), rows,
+                        collisions.get(f"{series}:{seed}", (0, [])))
+        for (series, seed), rows in sorted(grouped.items())
+    ]

@@ -190,19 +190,19 @@ def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:
     return min(members, key=lambda m: (dist[m], m))
 
 
-def clique_confined_policy(g: Graph, base: TransitionPolicy, walker_home: int) -> TransitionPolicy:
+def clique_confined_policy(g: Graph, base: TransitionPolicy) -> TransitionPolicy:
     """Restrict every row to same-clique neighbors so walks stay inside cliques.
 
-    Pursuit and homing steering bypass the policy, so rows outside the home
-    clique are only ever sampled if a walker is released there; confining
-    them per-node keeps every row a valid in-clique distribution.
+    Each row keeps the neighbors in its own node's clique, renormalized, so
+    no row depends on a walker and one confined policy serves the whole
+    swarm: sampling never leaves the clique a walker is in. Pursuit and
+    homing steering bypass the policy; a walker left outside its home clique
+    without homing, as after a rendezvous, walks the clique it is in.
     """
     if g.clique_of is None:
         raise ConfigError("confinement requires a graph with cliques")
     if base.kind == MH:
         raise ConfigError("confinement does not support rows with lazy self-loops")
-    if not g.clique_members(walker_home):
-        raise ConfigError(f"clique {walker_home} has no members")
     targets: dict[int, np.ndarray] = {}
     probs: dict[int, np.ndarray] = {}
     for i in base.nodes():

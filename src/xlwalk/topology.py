@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ class Graph:
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges, each listed once with i < j."""
@@ -71,18 +67,7 @@ def _build_graph(n: int, edge_set: set[tuple[int, int]], positions=None, clique_
 
 
 def is_connected(g: Graph) -> bool:
-    seen = [False] * g.node_count
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.node_count
+    return len(_bfs_shortest_paths(g, 0)[3]) == g.node_count
 
 
 def gen_connected_caveman(n_cliques: int, n_nodes: int, seed: int) -> Graph:

@@ -1,11 +1,12 @@
 import json
+import logging
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xlwalk import experiment, learner, policy, walker
+from xlwalk import experiment, learner, policy, swarm, walker
 from xlwalk.errors import ConfigError
 from xlwalk.experiment import (
     AttractionSpec,
@@ -27,7 +28,7 @@ from xlwalk.experiment import (
     simulate,
     summarize,
 )
-from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC
+from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC, ElasticSpec
 from xlwalk.presets import PRESETS, preset_configs
 from xlwalk.swarm import clique_confined_policy
 
@@ -377,6 +378,49 @@ class TestSimulation:
         assert betas == [0.0, 0.0, 0.2, 0.2, 0.2, 0.4, 0.4, 0.4, 0.4]
 
 
+class TestVisitBudget:
+    """Each visit trains for its node's budget; `walker.visit` skips an empty node, and says so."""
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    def test_empty_nodes_take_no_steps(self, caplog, elastic):
+        cfg = ExperimentConfig(
+            name="sparse",
+            graph=GraphSpec(kind="caveman", nodes=16, cliques=4),
+            data=DataSpec(classes=2, dims=4, per_class=4),
+            learner=LearnerSpec(batch_size=2),
+            elastic=ElasticSpec(enabled=elastic),
+            iters_per_visit=3,
+            walkers=2,
+            jumps=40,
+            eval_every=20,
+        )
+        env = build_environment(cfg, seed=0)
+        empty = {node for node, y in enumerate(env.node_labels) if y.size == 0}
+        assert len(empty) == 10
+        part = env.partition
+
+        def expected_iters(node: int) -> int:
+            if node in empty:
+                return 0
+            if not elastic:
+                return cfg.iters_per_visit
+            quality = policy.data_quality(
+                float(part.data_frac[node]), float(part.label_frac[node]), cfg.elastic.tau2
+            )
+            return policy.elastic_iterations(quality, cfg.elastic)
+
+        with caplog.at_level(logging.DEBUG, logger="xlwalk.walker"):
+            res = simulate(env, cfg, seed=0)
+        visits = [ev for ev in res.events if ev["kind"] == "visit"]
+        on_empty = [ev for ev in visits if ev["node"] in empty]
+        assert on_empty and len(on_empty) < len(visits)
+        assert [ev["iters"] for ev in visits] == [expected_iters(ev["node"]) for ev in visits]
+        final = {wid: cum for t, wid, _, _, cum in res.metrics.rows if t == cfg.jumps}
+        assert final == {wid: sum(ev["iters"] for ev in visits if ev["walker_id"] == wid) for wid in (0, 1)}
+        skipped = [rec.getMessage() for rec in caplog.records if "skipped empty node" in rec.getMessage()]
+        assert skipped == [f"walker {ev['walker_id']} skipped empty node {ev['node']}" for ev in on_empty]
+
+
 class TestDynamicModeWork:
     """Dynamic mode evaluates each walker once per jump and builds one row per walker."""
 
@@ -427,7 +471,7 @@ class TestDynamicModeWork:
             )
             full = policy.build_transition(g, imp)
             if confine:  # confined walkers never leave their home clique here
-                full = clique_confined_policy(g, full, g.clique_of[position])
+                full = clique_confined_policy(g, full)
             want_targets, want_probs = full.row(position)
             assert np.array_equal(targets, want_targets)
             assert np.array_equal(probs, want_probs)
@@ -556,25 +600,37 @@ class TestSummaries:
             assert rec.final_accuracy == orig.final_accuracy
 
 
+def mini6_config(**overrides) -> ExperimentConfig:
+    """Four clique-confined walkers under weak attraction: a few co-location collisions in 120 jumps."""
+    base = ExperimentConfig(
+        name="mini6",
+        graph=GraphSpec(kind="caveman", nodes=16, cliques=4),
+        data=DataSpec(classes=4, dims=4, per_class=40, val_frac=0.25, sep=2.0),
+        partition=PartitionSpec(kind="clique_dominant", dominance=1.0),
+        learner=LearnerSpec(batch_size=8),
+        policy=PolicySpec(kind="uniform"),
+        iters_per_visit=1,
+        walkers=4,
+        start="per_clique",
+        confine_cliques=True,
+        attraction=AttractionSpec(enabled=True, strength=0.2, base_coeff=0.01, cooldown_max=3),
+        jumps=120,
+        eval_every=30,
+        seeds=(0,),
+    )
+    return replace(base, **overrides)
+
+
+PAIR_CLOCK_VARIANTS = {
+    "colocation": {},
+    "rendezvous": {"rendezvous": RendezvousSpec(enabled=True, every=7, node=5)},
+    "rendezvous+uplink": {"rendezvous": RendezvousSpec(enabled=True, every=7, node=5), "uplink": True},
+}
+
+
 class TestInterCollisionReplay:
     def test_logged_intervals_match_event_replay(self):
-        cfg = ExperimentConfig(
-            name="mini6",
-            graph=GraphSpec(kind="caveman", nodes=16, cliques=4),
-            data=DataSpec(classes=4, dims=4, per_class=40, val_frac=0.25, sep=2.0),
-            partition=PartitionSpec(kind="clique_dominant", dominance=1.0),
-            learner=LearnerSpec(batch_size=8),
-            policy=PolicySpec(kind="uniform"),
-            iters_per_visit=1,
-            walkers=4,
-            start="per_clique",
-            confine_cliques=True,
-            attraction=AttractionSpec(enabled=True, strength=0.2, base_coeff=0.01, cooldown_max=3),
-            jumps=120,
-            eval_every=30,
-            seeds=(0,),
-        )
-        res = run_single(cfg, seed=0)
+        res = run_single(mini6_config(), seed=0)
         collides = [ev for ev in res.events if ev["kind"] == "collide"]
         assert collides, "expected at least one collision in 120 jumps"
         last = {}
@@ -587,6 +643,31 @@ class TestInterCollisionReplay:
                     last[(r, q)] = ev["t"]
         assert replayed == res.metrics.collision_intervals
         assert res.metrics.collision_count == len(collides)
+
+    @pytest.mark.parametrize("variant", sorted(PAIR_CLOCK_VARIANTS))
+    def test_pair_clocks_equal_replayed_intervals(self, monkeypatch, variant):
+        """The pair clocks that drive attraction read, at each co-location, the replayed intervals."""
+        cfg = mini6_config(**PAIR_CLOCK_VARIANTS[variant])
+        clocks = []  # since_collision as the collision phase of each jump found it
+        real_groups = swarm.colocated_groups
+
+        def spy(s):
+            clocks.append(s.since_collision.copy())
+            return real_groups(s)
+
+        monkeypatch.setattr(swarm, "colocated_groups", spy)
+        res = run_single(cfg, seed=0)
+        assert len(clocks) == cfg.jumps
+        colocations = [ev for ev in res.events if ev["kind"] == "collide" and ev["trigger"] == "colocation"]
+        assert colocations, "expected co-location collisions in 120 jumps"
+        from_clocks = [
+            int(clocks[ev["t"] - 1][r, q])
+            for ev in colocations
+            for i, r in enumerate(ev["walkers"])
+            for q in ev["walkers"][i + 1:]
+        ]
+        assert from_clocks == res.metrics.collision_intervals
+        assert res.metrics.collision_count == len(colocations)
 
     def test_confined_walkers_return_home(self):
         cfg = ExperimentConfig(

@@ -243,7 +243,7 @@ class TestPursuitTermination:
 class TestCliqueConfined:
     def test_rows_stay_in_clique(self):
         g = gen_connected_caveman(8, 64, 3)
-        pol = clique_confined_policy(g, uniform_transition(g), walker_home=3)
+        pol = clique_confined_policy(g, uniform_transition(g))
         for i in range(g.node_count):
             targets, probs = pol.row(i)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -253,13 +253,13 @@ class TestCliqueConfined:
     def test_single_clique_graph_unchanged(self):
         g = gen_connected_caveman(1, 6, 0)
         base = uniform_transition(g)
-        pol = clique_confined_policy(g, base, walker_home=0)
+        pol = clique_confined_policy(g, base)
         for i in range(6):
             assert np.array_equal(pol.row(i)[1], base.row(i)[1])
 
     def test_walk_never_leaves_clique(self):
         g = gen_connected_caveman(8, 64, 1)
-        pol = clique_confined_policy(g, uniform_transition(g), walker_home=0)
+        pol = clique_confined_policy(g, uniform_transition(g))
         validate_policy(pol, g)
         from xlwalk.walker import step
 
@@ -275,12 +275,12 @@ class TestCliqueConfined:
 
         g = gen_rgg(10, 0.6, 0)
         with pytest.raises(ConfigError):
-            clique_confined_policy(g, uniform_transition(g), 0)
+            clique_confined_policy(g, uniform_transition(g))
 
     def test_mh_base_rejected(self):
         g = gen_connected_caveman(3, 9, 0)
         with pytest.raises(ConfigError):
-            clique_confined_policy(g, mh_transition(g), 0)
+            clique_confined_policy(g, mh_transition(g))
 
     def test_nearest_clique_node(self):
         g = gen_connected_caveman(4, 16, 0)

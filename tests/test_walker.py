@@ -250,7 +250,7 @@ def chain_law_case(name):
                                 np.array(betweenness(g).normalized), alpha=0.5)
         return build_transition(g, imp, kind=IMPORTANCE_STATIC), list(range(g.node_count))
     # confined to clique 1, the chain is irreducible on that clique alone
-    return clique_confined_policy(g, uniform_transition(g), walker_home=1), g.clique_members(1)
+    return clique_confined_policy(g, uniform_transition(g)), g.clique_members(1)
 
 
 class TestChainLaw:
