@@ -29,13 +29,16 @@ from .presets import PRESETS, preset_configs
 
 
 def _write_outputs(results: list[RunResult], out_dir: Path) -> None:
+    """Write the three artifacts; the tables come first, so a failed summary writes no file."""
+    records = [r.metrics for r in results]
+    summary, metrics = summarize(records), metrics_to_csv(records)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "events.jsonl", "w") as f:
         for res in results:
             for ev in res.events:
                 f.write(json.dumps(ev) + "\n")
-    (out_dir / "metrics.csv").write_text(metrics_to_csv([r.metrics for r in results]))
-    (out_dir / "summary.csv").write_text(summarize([r.metrics for r in results]))
+    (out_dir / "metrics.csv").write_text(metrics)
+    (out_dir / "summary.csv").write_text(summary)
 
 
 def _cmd_gen_graph(args) -> int:

@@ -13,6 +13,7 @@ Per swarm jump the phases are fixed: attraction bookkeeping, movement
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import os
@@ -609,6 +610,23 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
+def _per_jump(rec: MetricsRecord, col: int, average: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A run's jumps, ascending, and per jump the mean or sum of its walkers' values in row order.
+
+    Jumps with equally many rows form one (jumps, walkers) array reduced along its rows.
+    """
+    t = np.array([r[0] for r in rec.rows], dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    vals = np.array([r[col] for r in rec.rows], dtype=np.float64)[order]
+    jumps, starts, counts = np.unique(t[order], return_index=True, return_counts=True)
+    out = np.empty(jumps.size)
+    for size in np.unique(counts).tolist():
+        sel = counts == size
+        block = vals[starts[sel, None] + np.arange(size)]
+        out[sel] = block.mean(axis=1) if average else block.sum(axis=1)
+    return jumps, out
+
+
 def summarize(records: list[MetricsRecord]) -> str:
     """Aggregate runs into CSV tables: per-jump curves and final summaries.
 
@@ -617,34 +635,24 @@ def summarize(records: list[MetricsRecord]) -> str:
     """
     if not records:
         raise ConfigError("nothing to summarize")
-    seen = set()
-    for rec in records:
-        key = (rec.series, rec.seed)
-        if key in seen:
-            raise ConfigError(f"duplicate run for series={rec.series} seed={rec.seed}")
-        seen.add(key)
-
     by_series: dict[str, list[MetricsRecord]] = {}
     for rec in records:
-        by_series.setdefault(rec.series, []).append(rec)
+        runs = by_series.setdefault(rec.series, [])
+        if any(r.seed == rec.seed for r in runs):
+            raise ConfigError(f"duplicate run for series={rec.series} seed={rec.seed}")
+        runs.append(rec)
 
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["table", "series", "t", "mean", "std", "count"])
-
-    def per_jump(rec: MetricsRecord, col: int, reduce) -> dict[int, float]:
-        by_t: dict[int, list[float]] = {}
-        for row in rec.rows:
-            by_t.setdefault(row[0], []).append(float(row[col]))
-        return {t: float(reduce(vals)) for t, vals in by_t.items()}
-
-    for table, col, reduce in (("accuracy_vs_jump", 3, np.mean), ("cum_sgd_vs_jump", 4, np.sum)):
+    for table, col, average in (("accuracy_vs_jump", 3, True), ("cum_sgd_vs_jump", 4, False)):
         for series in sorted(by_series):
             recs = by_series[series]
-            curves = [per_jump(rec, col, reduce) for rec in recs]
-            for t in sorted(set.intersection(*[set(c) for c in curves])):
-                mean, std = _mean_std([c[t] for c in curves])
-                w.writerow([table, series, t, repr(mean), repr(std), len(recs)])
+            curves = [_per_jump(rec, col, average) for rec in recs]
+            shared = functools.reduce(np.intersect1d, [jumps for jumps, _ in curves])
+            grid = np.stack([vals[np.searchsorted(jumps, shared)] for jumps, vals in curves], axis=1)
+            stats = zip(shared.tolist(), grid.mean(axis=1).tolist(), grid.std(axis=1).tolist())
+            w.writerows([table, series, t, repr(m), repr(sd), len(recs)] for t, m, sd in stats)
     for series in sorted(by_series):
         recs = by_series[series]
         mean, std = _mean_std([rec.final_accuracy for rec in recs])

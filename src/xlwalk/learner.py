@@ -216,6 +216,9 @@ def _sgd_workspace(arch: str, n_dims: int, n_classes: int, hidden: int, cfg: Lea
     return theta, step
 
 
+_one_hot_rows = functools.lru_cache(maxsize=16)(np.eye)  # row c: the one-hot target of class c
+
+
 def sgd_steps(
     m: ModelParams,
     features: np.ndarray,
@@ -228,8 +231,8 @@ def sgd_steps(
 
     The result is bit-identical to k rounds of `rng.integers(0, n, size=B)`,
     `loss_and_grad` and `theta -= lr * grad`, and leaves rng in the same
-    state: one `(steps, B)` draw per chunk yields the same index stream as
-    that many `B`-sized draws.
+    state: one flat draw of steps * B indices per chunk yields the same index
+    stream as that many `B`-sized draws.
 
     Training runs in a workspace cached per model shape and spec, which is
     per-process scratch: `run_many` parallelizes with processes, never threads,
@@ -241,15 +244,14 @@ def sgd_steps(
         raise ConfigError("need at least one SGD step")
     theta, step = _sgd_workspace(m.arch, m.n_dims, m.n_classes, m.hidden, cfg)
     theta[...] = m.theta
+    one_hot = _one_hot_rows(m.n_classes)
     batch = cfg.batch_size
-    classes = np.arange(m.n_classes)
     n = features.shape[0]
     for done in range(0, k, _CHUNK_STEPS):
-        idx = rng.integers(0, n, size=(min(_CHUNK_STEPS, k - done), batch))
-        onehots = (labels[idx][..., None] == classes).astype(np.float64)
-        for x, onehot in zip(features[idx], onehots):
+        idx = rng.integers(0, n, size=min(_CHUNK_STEPS, k - done) * batch).reshape(-1, batch)
+        for x, onehot in zip(features.take(idx, axis=0), one_hot.take(labels.take(idx), axis=0)):
             step(x, onehot)
-    return replace(m, theta=theta.copy())
+    return ModelParams(m.arch, m.n_dims, m.n_classes, m.hidden, theta.copy())
 
 
 def _class_sum(e: np.ndarray) -> np.ndarray:

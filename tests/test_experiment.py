@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import weakref
@@ -598,6 +600,118 @@ class TestSummaries:
             assert rec.seed == orig.seed
             assert rec.rows == orig.rows
             assert rec.final_accuracy == orig.final_accuracy
+
+
+def reference_summarize(records):
+    """The per-jump `summarize` the array-reduction one must reproduce byte for byte.
+
+    Each run's value at a jump is `np.mean` or `np.sum` over that jump's rows
+    in row order; each reported jump's across-seed mean and std is one
+    `np.mean`/`np.std` call over a list of the runs' values.
+    """
+    if not records:
+        raise ConfigError("nothing to summarize")
+    seen = set()
+    for rec in records:
+        key = (rec.series, rec.seed)
+        if key in seen:
+            raise ConfigError(f"duplicate run for series={rec.series} seed={rec.seed}")
+        seen.add(key)
+
+    def mean_std(values):
+        arr = np.array(values, dtype=np.float64)
+        return float(arr.mean()), float(arr.std())
+
+    by_series = {}
+    for rec in records:
+        by_series.setdefault(rec.series, []).append(rec)
+
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["table", "series", "t", "mean", "std", "count"])
+
+    def per_jump(rec, col, reduce):
+        by_t = {}
+        for row in rec.rows:
+            by_t.setdefault(row[0], []).append(float(row[col]))
+        return {t: float(reduce(vals)) for t, vals in by_t.items()}
+
+    for table, col, reduce in (("accuracy_vs_jump", 3, np.mean), ("cum_sgd_vs_jump", 4, np.sum)):
+        for series in sorted(by_series):
+            recs = by_series[series]
+            curves = [per_jump(rec, col, reduce) for rec in recs]
+            for t in sorted(set.intersection(*[set(c) for c in curves])):
+                mean, std = mean_std([c[t] for c in curves])
+                w.writerow([table, series, t, repr(mean), repr(std), len(recs)])
+    for series in sorted(by_series):
+        recs = by_series[series]
+        mean, std = mean_std([rec.final_accuracy for rec in recs])
+        w.writerow(["final_accuracy", series, "", repr(mean), repr(std), len(recs)])
+    for series in sorted(by_series):
+        recs = by_series[series]
+        per_run = [float(np.mean(rec.collision_intervals)) for rec in recs if rec.collision_intervals]
+        n_events = sum(rec.collision_count for rec in recs)
+        if per_run:
+            mean, std = mean_std(per_run)
+            w.writerow(["collision_interval", series, "", repr(mean), repr(std), n_events])
+    return out.getvalue()
+
+
+def synthetic_records(n_seeds, n_walkers, seed=0, jumps=range(0, 41, 4), series="s"):
+    """Runs with random accuracies and step counts: `n_walkers` rows per jump, in t order."""
+    rng = np.random.default_rng([seed, n_seeds, n_walkers])
+    records = []
+    for run in range(n_seeds):
+        rows = [(t, wid, float(rng.random()), float(rng.random()), int(rng.integers(0, 10_000)))
+                for t in jumps for wid in range(n_walkers)]
+        records.append(experiment.MetricsRecord(
+            series=series, seed=run, walker_ids=list(range(n_walkers)), rows=rows,
+            collision_count=int(rng.integers(0, 5)), collision_intervals=[int(v) for v in rng.integers(0, 30, 3)],
+            final_accuracy=float(rng.random()),
+        ))
+    return records
+
+
+class TestSummarizeMatchesReference:
+    """`summarize` writes exactly `reference_summarize`'s bytes, past the pairwise-sum boundary of 8."""
+
+    @pytest.mark.parametrize("n_walkers", [1, 3, 8, 9, 14])
+    @pytest.mark.parametrize("n_seeds", [1, 2, 8, 9, 16, 130])
+    def test_synthetic_runs(self, n_seeds, n_walkers):
+        records = synthetic_records(n_seeds, n_walkers)
+        assert summarize(records) == reference_summarize(records)
+
+    def test_several_series(self):
+        records = (synthetic_records(9, 3, series="b") + synthetic_records(2, 14, series="a")
+                   + synthetic_records(17, 8, series="c"))
+        assert summarize(records) == reference_summarize(records)
+
+    def test_runs_with_different_jumps_report_the_shared_ones(self):
+        records = [replace(rec, seed=i, rows=[r for r in rec.rows if r[0] % (i + 1) == 0 or r[0] > 30])
+                   for i, rec in enumerate(synthetic_records(9, 9, jumps=range(0, 41)))]
+        text = summarize(records)
+        assert text == reference_summarize(records)
+        jumps = [int(line.split(",")[2]) for line in text.splitlines() if line.startswith("accuracy_vs_jump")]
+        assert jumps == [0, *range(31, 41)]  # only jump 0 is a multiple of every run's step 1..9
+
+    @pytest.mark.parametrize("n_walkers", [2, 9, 14])
+    def test_walker_missing_at_one_jump(self, n_walkers):
+        records = synthetic_records(9, n_walkers)
+        rows = records[4].rows
+        records[4] = replace(records[4], rows=rows[:n_walkers + 1] + rows[n_walkers + 2:])
+        assert summarize(records) == reference_summarize(records)
+
+    @pytest.mark.parametrize("n_walkers", [3, 9])
+    def test_rows_out_of_jump_order(self, n_walkers):
+        records = synthetic_records(8, n_walkers)
+        for i, rec in enumerate(records):
+            rows = list(rec.rows)
+            np.random.default_rng(i).shuffle(rows)
+            records[i] = replace(rec, rows=rows)
+        assert summarize(records) == reference_summarize(records)
+
+    def test_simulated_runs(self, records):
+        assert summarize(records) == reference_summarize(records)
 
 
 def mini6_config(**overrides) -> ExperimentConfig:

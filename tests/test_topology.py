@@ -1,13 +1,16 @@
 import json
 from collections import Counter, deque
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from xlwalk import topology
 from xlwalk.errors import ConfigError, GenerationError
-from xlwalk.experiment import build_environment
+from xlwalk.experiment import build_environment, build_graph, simulate
 from xlwalk.presets import PRESETS, preset_configs
+from xlwalk.swarm import nearest_clique_node
 from xlwalk.topology import (
     Centrality,
     Graph,
@@ -19,6 +22,7 @@ from xlwalk.topology import (
     is_connected,
     next_hop_toward,
     default_rgg_radius,
+    shortest_path_distances,
 )
 
 
@@ -270,6 +274,84 @@ class TestNextHop:
         g = graph_from_edges(2, [(0, 1)])
         with pytest.raises(ConfigError):
             next_hop_toward(g, 1, 1)
+
+
+def reference_next_hops(g, to_node):
+    """Every other node's next hop toward `to_node` by a fresh BFS from the target, lowest id on ties."""
+    dist = shortest_path_distances(g, to_node)
+    hops = {}
+    for from_node in range(g.node_count):
+        if from_node != to_node:
+            hops[from_node] = next(nb for nb in g.adjacency[from_node] if dist[nb] == dist[from_node] - 1)
+    return hops
+
+
+def reference_nearest_clique_nodes(g, from_node):
+    """Per clique, its member closest to `from_node` by a fresh BFS, lowest id on ties."""
+    dist = shortest_path_distances(g, from_node)
+    nearest = {}
+    for clique in range(g.n_cliques):
+        if g.clique_of[from_node] == clique:
+            nearest[clique] = from_node
+        else:
+            nearest[clique] = min(g.clique_members(clique), key=lambda m: (dist[m], m))
+    return nearest
+
+
+def preset_worlds(names, seeds):
+    return [pytest.param(build_graph(preset_configs(name, 1)[0].graph, seed), id=f"{name}-seed{seed}")
+            for name in names for seed in seeds]
+
+
+class TestDistanceTable:
+    """Steering reads one lazily built all-pairs table and agrees with a BFS per query."""
+
+    CLIQUE_WORLDS = preset_worlds(["fig5", "fig6"], range(3)) + [
+        pytest.param(gen_connected_caveman(k, n, seed), id=f"caveman-{k}-{n}-{seed}")
+        for k, n, seed in [(1, 5, 0), (2, 4, 1), (3, 10, 2), (5, 23, 3), (7, 40, 4), (12, 60, 5)]
+    ]
+    WORLDS = CLIQUE_WORLDS + preset_worlds(["fig4"], range(3)) + [
+        pytest.param(gen_rgg(n, default_rgg_radius(n), seed), id=f"rgg-{n}-{seed}")
+        for n, seed in [(2, 0), (9, 1), (30, 2), (80, 3)]
+    ]
+
+    @pytest.mark.parametrize("g", WORLDS)
+    def test_next_hop_equals_bfs(self, g):
+        for to_node in range(g.node_count):
+            expected = reference_next_hops(g, to_node)
+            assert {f: next_hop_toward(g, f, to_node) for f in expected} == expected
+
+    @pytest.mark.parametrize("g", CLIQUE_WORLDS)
+    def test_nearest_clique_node_equals_bfs(self, g):
+        for from_node in range(g.node_count):
+            expected = reference_nearest_clique_nodes(g, from_node)
+            assert {c: nearest_clique_node(g, from_node, c) for c in expected} == expected
+
+    def test_unreachable_target_still_raises(self):
+        g = graph_from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(RuntimeError):
+            next_hop_toward(g, 0, 3)
+
+    def test_built_once_from_one_bfs_per_node(self, monkeypatch):
+        cfg = replace(preset_configs("fig6", 1)[2], jumps=40)  # strongest attraction: pursuits within 40 jumps
+        env = build_environment(cfg, 0)
+        sources = []
+        bfs = topology.shortest_path_distances
+
+        def counted(g, source):
+            sources.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(topology, "shortest_path_distances", counted)
+        res = simulate(env, cfg, 0)
+        assert any(ev["kind"] == "pursuit_start" for ev in res.events)
+        assert sources == list(range(env.graph.node_count))
+
+    def test_worlds_that_never_steer_never_build_it(self):
+        cfg = replace(preset_configs("fig4", 1)[0], jumps=20)
+        env = build_environment(cfg, 0)
+        simulate(env, cfg, 0)
+        assert "distances" not in vars(env.graph)
 
 
 class TestSerialization:
