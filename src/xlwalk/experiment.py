@@ -6,9 +6,12 @@ own sub-stream seeded by `seed XOR walker_id`, so walkers that never
 interact are bit-identical to the same walkers run alone. Outputs carry no
 wall-clock or machine state: identical inputs give identical bytes.
 
-Per swarm jump the phases are fixed: attraction bookkeeping, movement
-(ascending walker id), local training, memory merge, collisions
-(co-location, then rendezvous, then uplink), perception refresh, evaluation.
+A run is a `Run` record that `simulate` scores at jump 0 and then passes,
+jump after jump, through the functions of `PHASES`, in this fixed order:
+`attract` (attraction clocks and pursuit triggers), `move` (ascending walker
+id), `train` (local SGD), `merge_memory`, `collisions` (co-location, then
+rendezvous, then uplink) and `score` (validation scores, the dynamic
+perception refresh and the metric rows).
 """
 from __future__ import annotations
 
@@ -141,6 +144,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown start mode {self.start!r}")
         if self.rendezvous.enabled and self.rendezvous.every < 1:
             raise ConfigError("rendezvous every must be at least 1")
+        if self.confine_cliques and self.policy.kind == MH:
+            raise ConfigError("confinement does not support rows with lazy self-loops (policy kind mh)")
+        if self.partition.kind == "clique_dominant" and self.graph.cliques > self.data.classes:
+            raise ConfigError(
+                f"{self.graph.cliques} cliques need at most {self.data.classes} classes to dominate"
+            )
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -197,13 +206,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def set_config_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """Return a copy with one (possibly dotted) config field replaced."""
     doc = cfg.to_dict()
+    *parents, leaf = axis.split(".")
     node = doc
-    parts = axis.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config axis {axis!r}")
-        node = node[part]
-    leaf = parts[-1]
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config axis {axis!r}")
     node[leaf] = value
@@ -246,18 +252,13 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
         )
     else:
         part = datahub.partition_clique_dominant(ds, g, pspec.dominance, seed)
-    node_features = []
-    node_labels = []
-    for node in range(g.node_count):
-        x, y = datahub.node_view(ds, part, node)
-        node_features.append(x)
-        node_labels.append(y)
+    views = [datahub.node_view(ds, part, node) for node in range(g.node_count)]
     return Environment(
         graph=g,
         centrality=topology.betweenness(g),
         partition=part,
-        node_features=node_features,
-        node_labels=node_labels,
+        node_features=[x for x, _ in views],
+        node_labels=[y for _, y in views],
         val_features=ds.features[ds.val_indices],
         val_labels=ds.labels[ds.val_indices],
     )
@@ -342,6 +343,150 @@ def _visit_budget(env: Environment, cfg: ExperimentConfig) -> list[int]:
     return budget
 
 
+@dataclass(eq=False)
+class Run:
+    """One run in progress: what every phase of a jump reads and writes."""
+
+    cfg: ExperimentConfig
+    env: Environment
+    run_id: str
+    swarm: swarm.SwarmState
+    interactions_on: bool  # a zero trigger floor leaves walkers independent: no clocks, draws or collisions
+    rng_interaction: np.random.Generator
+    centrality: np.ndarray
+    budget: list[int]  # SGD steps of one visit, per node
+    policies: list[TransitionPolicy | None]  # per walker; dynamic rows come from the scoring pass
+    events: list[dict] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
+    visits: list[dict] = field(default_factory=list)  # this jump's visit events, in walker order
+
+    def confine(self, pol: TransitionPolicy) -> TransitionPolicy:
+        return swarm.clique_confined_policy(self.env.graph, pol) if self.cfg.confine_cliques else pol
+
+    def ids(self, group: Iterable[int]) -> list[int]:
+        return [self.swarm.walkers[i].id for i in group]
+
+    def log(self, t: int, kind: str, **fields) -> dict:
+        """Log an event keyed run_id, t, kind, then fields, the order events.jsonl keeps; return it."""
+        ev = {"run_id": self.run_id, "t": t, "kind": kind, **fields}
+        self.events.append(ev)
+        return ev
+
+    def log_swarm_event(self, ev: dict, t: int, **extra) -> None:
+        """Stamp a swarm event with the run and jump, map its walker indices to ids, log it.
+
+        Keys stay in the order kind, walkers, run_id, t, then extra, which
+        events.jsonl preserves.
+        """
+        ev.update(run_id=self.run_id, t=t, walkers=self.ids(ev["walkers"]), **extra)
+        self.events.append(ev)
+
+
+def attract(run: Run, t: int) -> None:
+    """Advance the attraction clocks and draw pursuit triggers."""
+    if run.interactions_on:
+        for ev in swarm.tick_attraction(run.swarm, run.cfg.attraction, run.rng_interaction):
+            run.log_swarm_event(ev, t)
+
+
+def move(run: Run, t: int) -> None:
+    """Move every walker, ascending walker id: by its policy, or steered by a pursuit or homing."""
+    s, g = run.swarm, run.env.graph
+    for idx, w in enumerate(s.walkers):
+        target = swarm.steer_target(s, idx)
+        if target is None:
+            walker.step(w, run.policies[idx], w.rng)
+        else:
+            if target != w.position:
+                w.position = topology.next_hop_toward(g, w.position, target)
+            w.jumps += 1
+        if s.homing[idx] is not None and g.clique_of[w.position] == w.home_clique:
+            s.homing[idx] = None  # only a walker with a home clique is ever sent homing
+
+
+def train(run: Run, t: int) -> None:
+    """Train every walker on its node's samples and log the visit."""
+    env = run.env
+    run.visits = []
+    for w in run.swarm.walkers:
+        node = w.position
+        iters = run.budget[node]
+        walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner, w.rng)
+        w.cum_iters += iters
+        run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
+
+
+def merge_memory(run: Run, t: int) -> None:
+    """Blend each walker's stale model into its instantaneous one at this jump's weight."""
+    if run.cfg.memory.enabled:
+        beta = run.cfg.memory.beta_at(t)
+        walkers = run.swarm.walkers
+        for idx, w in enumerate(walkers):
+            walkers[idx] = walker.memory_merge(w, beta)
+            run.visits[idx]["beta"] = beta
+
+
+def collisions(run: Run, t: int) -> None:
+    """Average the models of walkers that meet: co-location, then rendezvous, then uplink."""
+    s, g, cfg = run.swarm, run.env.graph, run.cfg
+    everyone = list(range(s.size))
+    if run.interactions_on:
+        for group in swarm.colocated_groups(s):
+            if all(s.cooldown[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
+                continue
+            node = s.walkers[group[0]].position
+            weights = swarm.collide(s, group, cfg.memory.enabled, cfg.attraction.cooldown_max)
+            for ev in swarm.end_pursuits(s, group):
+                run.log_swarm_event(ev, t, node=node)
+            for idx in group:
+                home = s.walkers[idx].home_clique
+                if home is not None and g.clique_of[node] != home:
+                    s.homing[idx] = swarm.nearest_clique_node(g, node, home)
+            run.log(t, "collide", trigger="colocation", walkers=run.ids(group), node=node, weights=weights)
+    if cfg.rendezvous.enabled and t % cfg.rendezvous.every == 0:
+        weights = swarm.rendezvous_tick(s, cfg.rendezvous.every, cfg.rendezvous.node, cfg.memory.enabled)
+        for ev in swarm.end_pursuits(s, everyone):
+            run.log_swarm_event(ev, t, node=cfg.rendezvous.node)
+        run.log(t, "rendezvous", walkers=run.ids(everyone), node=cfg.rendezvous.node, weights=weights)
+    if cfg.uplink and s.size > 1:
+        weights = swarm.collide(s, everyone, cfg.memory.enabled)
+        run.log(t, "collide", trigger="uplink", walkers=run.ids(everyone), node=None, weights=weights)
+
+
+def score(run: Run, t: int) -> None:
+    """Measure every walker's model; refresh dynamic rows; log metric rows on evaluation jumps.
+
+    Dynamic mode scores every jump, since its next rows depend on the
+    accuracy; other modes score every eval_every jumps. Walkers that hold the
+    same model object, as every member does after a collision until it trains
+    again, share one evaluation; models are never written in place. A
+    refresh rebuilds only the row at each walker's position, the one row the
+    next movement phase samples (nothing moves a walker in between).
+    """
+    cfg, env = run.cfg, run.env
+    dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
+    logged = t % cfg.eval_every == 0
+    if not (dynamic or logged):
+        return
+    scored: dict[int, tuple[float, float]] = {}  # id(model) -> (loss, acc)
+    for idx, w in enumerate(run.swarm.walkers):
+        if id(w.im) not in scored:
+            scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
+        loss, acc = scored[id(w.im)]
+        if dynamic:
+            run.policies[idx] = run.confine(walker.perception_refresh(
+                w, acc, cfg.policy, env.partition.data_frac, env.partition.label_frac,
+                run.centrality, env.graph,
+            ))
+            run.visits[idx]["alpha_inst"] = w.alpha
+        if logged:
+            run.rows.append((t, w.id, loss, acc, w.cum_iters))
+            run.visits[idx].update(loss=loss, acc=acc)
+
+
+PHASES = (attract, move, train, merge_memory, collisions, score)
+
+
 def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: list[int] | None = None) -> RunResult:
     """Execute one full run over a prebuilt environment.
 
@@ -350,159 +495,35 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     non-interacting multi-walker runs decomposable walker by walker.
     """
     cfg.validate()
-    g = env.graph
-    if cfg.rendezvous.enabled and not 0 <= cfg.rendezvous.node < g.node_count:
-        raise ConfigError(
-            f"rendezvous node {cfg.rendezvous.node} is not in the {g.node_count}-node graph"
-        )
+    nodes = env.graph.node_count
+    if cfg.rendezvous.enabled and not 0 <= cfg.rendezvous.node < nodes:
+        raise ConfigError(f"rendezvous node {cfg.rendezvous.node} is not in the {nodes}-node graph")
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
-    run_id = f"{cfg.series_label}:{seed}"
-    attraction = cfg.attraction
-    # a zero trigger floor leaves walkers independent: no clocks, draws or collisions
-    interactions_on = attraction.enabled and attraction.base_coeff > 0.0 and len(ids) > 1
-
-    s = swarm.new_swarm(_initial_walkers(env, cfg, seed, ids))
-    rng_interaction = interaction_rng(seed)
-    centrality_vec = np.array(env.centrality.normalized)
-
-    dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
-    budget = _visit_budget(env, cfg)
-
-    def confine(pol: TransitionPolicy) -> TransitionPolicy:
-        return swarm.clique_confined_policy(g, pol) if cfg.confine_cliques else pol
-
-    def refresh(w: walker.WalkerState) -> TransitionPolicy:
-        return confine(walker.perception_refresh(
-            w, env.val_features, env.val_labels, cfg.policy,
-            env.partition.data_frac, env.partition.label_frac,
-            centrality_vec, g,
-        ))
-
-    if dynamic:
-        policies = [refresh(w) for w in s.walkers]
-    else:  # no static row depends on the walker: one confined policy serves them all
-        policies = [confine(_base_policy(env, cfg))] * len(ids)
-
-    events: list[dict] = []
-    rows: list[tuple] = []
-
-    def log_swarm_event(ev: dict, t: int, **extra) -> None:
-        """Stamp a swarm event with the run and jump, map its walker indices to ids, log it.
-
-        Keys stay in the order kind, walkers, run_id, t, then extra, which
-        events.jsonl preserves.
-        """
-        ev.update(run_id=run_id, t=t, walkers=[ids[i] for i in ev["walkers"]], **extra)
-        events.append(ev)
-
-    def record_eval(t: int) -> list[tuple[float, float]]:
-        """Validation loss and accuracy per walker, logged as metric rows.
-
-        In dynamic mode every walker was just measured by its perception
-        refresh and its model has not changed since, so that result is reused.
-        Otherwise walkers that hold the same model object, as every member
-        does after a collision until it trains again, share one evaluation;
-        models are never written in place.
-        """
-        out = []
-        scored: dict[int, tuple[float, float]] = {}  # id(model) -> (loss, acc)
-        for w in s.walkers:
-            if dynamic:
-                loss, acc = w.cached_loss, w.cached_accuracy
-            else:
-                if id(w.im) not in scored:
-                    scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
-                loss, acc = scored[id(w.im)]
-            rows.append((t, w.id, loss, acc, w.cum_iters))
-            out.append((loss, acc))
-        return out
-
-    record_eval(0)
-
+    run = Run(
+        cfg=cfg,
+        env=env,
+        run_id=f"{cfg.series_label}:{seed}",
+        swarm=swarm.new_swarm(_initial_walkers(env, cfg, seed, ids)),
+        interactions_on=cfg.attraction.enabled and cfg.attraction.base_coeff > 0.0 and len(ids) > 1,
+        rng_interaction=interaction_rng(seed),
+        centrality=np.array(env.centrality.normalized),
+        budget=_visit_budget(env, cfg),
+        policies=[None] * len(ids),
+        visits=[{} for _ in ids],  # jump 0 has no visits: its scores reach only the rows
+    )
+    if cfg.policy.kind != IMPORTANCE_DYNAMIC:
+        # no static row depends on the walker: one confined policy serves them all
+        run.policies = [run.confine(_base_policy(env, cfg))] * len(ids)
+    score(run, 0)
     for t in range(1, cfg.jumps + 1):
-        # 1. attraction clocks and pursuit triggers
-        if interactions_on:
-            for ev in swarm.tick_attraction(s, attraction, rng_interaction):
-                log_swarm_event(ev, t)
+        for phase in PHASES:
+            phase(run, t)
 
-        # 2. movement, ascending walker id
-        for idx, w in enumerate(s.walkers):
-            target = swarm.steer_target(s, idx)
-            if target is None:
-                walker.step(w, policies[idx], w.rng)
-            else:
-                if target != w.position:
-                    w.position = topology.next_hop_toward(g, w.position, target)
-                w.jumps += 1
-            if w.home_clique is not None and s.homing[idx] is not None:
-                if g.clique_of[w.position] == w.home_clique:
-                    s.homing[idx] = None
-
-        # 3. local training
-        tick_visits: list[dict] = []
-        for w in s.walkers:
-            node = w.position
-            iters = budget[node]
-            walker.visit(w, env.node_features[node], env.node_labels[node], iters, cfg.learner, w.rng)
-            w.cum_iters += iters
-            ev = {"run_id": run_id, "t": t, "kind": "visit", "walker_id": w.id,
-                  "node": node, "iters": iters}
-            tick_visits.append(ev)
-            events.append(ev)
-
-        # 4. memory merge
-        if cfg.memory.enabled:
-            beta = cfg.memory.beta_at(t)
-            for idx, w in enumerate(s.walkers):
-                s.walkers[idx] = walker.memory_merge(w, beta)
-                tick_visits[idx]["beta"] = beta
-
-        # 5. collisions: co-location, then rendezvous, then uplink
-        if interactions_on:
-            for group in swarm.colocated_groups(s):
-                if all(s.cooldown[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
-                    continue
-                node = s.walkers[group[0]].position
-                weights = swarm.collide(s, group, cfg.memory.enabled)
-                for ev in swarm.end_pursuits(s, group):
-                    log_swarm_event(ev, t, node=node)
-                swarm.start_cooldown(s, group, attraction.cooldown_max)
-                for idx in group:
-                    home = s.walkers[idx].home_clique
-                    if home is not None and g.clique_of[node] != home:
-                        s.homing[idx] = swarm.nearest_clique_node(g, node, home)
-                events.append({"run_id": run_id, "t": t, "kind": "collide",
-                               "trigger": "colocation", "walkers": [ids[i] for i in group],
-                               "node": node, "weights": weights})
-        if cfg.rendezvous.enabled and t % cfg.rendezvous.every == 0:
-            weights = swarm.rendezvous_tick(s, cfg.rendezvous.every, cfg.rendezvous.node, cfg.memory.enabled)
-            for ev in swarm.end_pursuits(s, list(range(s.size))):
-                log_swarm_event(ev, t, node=cfg.rendezvous.node)
-            events.append({"run_id": run_id, "t": t, "kind": "rendezvous",
-                           "walkers": list(ids), "node": cfg.rendezvous.node,
-                           "weights": weights})
-        if cfg.uplink and len(ids) > 1:
-            weights = swarm.uplink_aggregate(s, cfg.memory.enabled)
-            events.append({"run_id": run_id, "t": t, "kind": "collide",
-                           "trigger": "uplink", "walkers": list(ids),
-                           "node": None, "weights": weights})
-
-        # 6. perception refresh: rebuilds only the row at each walker's position,
-        # the one row the next movement phase samples (nothing moves a walker in between)
-        if dynamic:
-            for idx, w in enumerate(s.walkers):
-                policies[idx] = refresh(w)
-                tick_visits[idx]["alpha_inst"] = w.alpha
-
-        # 7. evaluation
-        if t % cfg.eval_every == 0:
-            for ev, (loss, acc) in zip(tick_visits, record_eval(t)):
-                ev["loss"] = loss
-                ev["acc"] = acc
-
-    collisions = _collisions_from_events(events).get(run_id, (0, []))
-    metrics = _metrics_record(cfg.series_label, seed, list(ids), rows, collisions)
-    return RunResult(run_id=run_id, series=cfg.series_label, seed=seed, events=events, metrics=metrics)
+    tally = _collisions_from_events(run.events).get(run.run_id, (0, []))
+    metrics = _metrics_record(cfg.series_label, seed, ids, run.rows, tally)
+    return RunResult(
+        run_id=run.run_id, series=cfg.series_label, seed=seed, events=run.events, metrics=metrics
+    )
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:

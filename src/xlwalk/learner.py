@@ -106,29 +106,20 @@ def loss_and_grad(
     """Mean cross-entropy plus 0.5*l2*|theta|^2 and its gradient in theta."""
     n = features.shape[0]
     if m.arch == SOFTMAX:
+        a = features  # what the output layer reads
         w = m.theta.reshape(m.n_classes, m.n_dims + 1)
-        logits = features @ w[:, :-1].T + w[:, -1]
-        logp = _log_softmax(logits)
-        probs = np.exp(logp)
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        grad_w = np.concatenate([delta.T @ features, delta.sum(axis=0)[:, None]], axis=1)
-        grad = grad_w.ravel()
     else:
-        w1, w2 = _split_mlp(m)
-        pre = features @ w1[:, :-1].T + w1[:, -1]
-        h = np.tanh(pre)
-        logits = h @ w2[:, :-1].T + w2[:, -1]
-        logp = _log_softmax(logits)
-        probs = np.exp(logp)
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        grad_w2 = np.concatenate([delta.T @ h, delta.sum(axis=0)[:, None]], axis=1)
-        back = (delta @ w2[:, :-1]) * (1.0 - h * h)
+        w1, w = _split_mlp(m)
+        a = np.tanh(features @ w1[:, :-1].T + w1[:, -1])
+    logp = _log_softmax(a @ w[:, :-1].T + w[:, -1])
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad = np.concatenate([delta.T @ a, delta.sum(axis=0)[:, None]], axis=1).ravel()
+    if m.arch != SOFTMAX:
+        back = (delta @ w[:, :-1]) * (1.0 - a * a)
         grad_w1 = np.concatenate([back.T @ features, back.sum(axis=0)[:, None]], axis=1)
-        grad = np.concatenate([grad_w1.ravel(), grad_w2.ravel()])
+        grad = np.concatenate([grad_w1.ravel(), grad])
     loss = -logp[np.arange(n), labels].mean()
     if l2 > 0.0:
         loss += 0.5 * l2 * float(m.theta @ m.theta)

@@ -115,12 +115,12 @@ def steer_target(s: SwarmState, walker_id: int) -> int | None:
     return s.homing[walker_id]
 
 
-def collide(s: SwarmState, group: list[int], memory_enabled: bool = False) -> list[int]:
+def collide(s: SwarmState, group: list[int], memory_enabled: bool = False, cooldown: int = 0) -> list[int]:
     """Replace every group member's model with their sample-weighted average.
 
     Weights are samples seen since the member's last aggregation, plus one
-    so that freshly spawned walkers still count. Pair clocks reset and the
-    cooldown starts for every pair inside the group. Returns the weights.
+    so that freshly spawned walkers still count. Pair clocks reset and every
+    pair inside the group stays inert for `cooldown` jumps. Returns the weights.
     """
     if len(group) < 2:
         return []
@@ -135,14 +135,8 @@ def collide(s: SwarmState, group: list[int], memory_enabled: bool = False) -> li
     for i, r in enumerate(group):
         for q in group[i + 1:]:
             s.since_collision[r, q] = s.since_collision[q, r] = 0
-            s.cooldown[r, q] = s.cooldown[q, r] = 0
+            s.cooldown[r, q] = s.cooldown[q, r] = cooldown
     return weights
-
-
-def start_cooldown(s: SwarmState, group: list[int], cooldown_max: int) -> None:
-    for i, r in enumerate(group):
-        for q in group[i + 1:]:
-            s.cooldown[r, q] = s.cooldown[q, r] = cooldown_max
 
 
 def end_pursuits(s: SwarmState, group: list[int]) -> list[dict]:
@@ -173,11 +167,6 @@ def rendezvous_tick(s: SwarmState, every_k: int, node: int, memory_enabled: bool
         raise ConfigError("rendezvous called off-schedule")
     for w in s.walkers:
         w.position = node
-    return collide(s, list(range(s.size)), memory_enabled)
-
-
-def uplink_aggregate(s: SwarmState, memory_enabled: bool = False) -> list[int]:
-    """Group-average all walkers in place, without relocation."""
     return collide(s, list(range(s.size)), memory_enabled)
 
 

@@ -2,9 +2,9 @@
 
 A walker owns two model copies: the instantaneous model it trains at every
 visited node, and a stale model it periodically blends back in to damp
-forgetting. In dynamic mode the walker re-evaluates itself after visits and
-rebuilds the transition row it samples next from the accuracy-scaled
-importance mix, which makes the induced chain time-inhomogeneous.
+forgetting. In dynamic mode the walker rebuilds the row it samples next from
+the importance mix that its model's last validation accuracy scales, which
+makes the induced chain time-inhomogeneous.
 
 A `WalkerState` is the walker's one mutable record. `step`, `visit` and
 `perception_refresh` update it in place and return only what they produce;
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .learner import LearnerSpec, ModelParams, evaluate, sgd_steps
+from .learner import LearnerSpec, ModelParams, sgd_steps
 from .policy import (
     PolicySpec,
     TransitionPolicy,
@@ -43,8 +43,6 @@ class WalkerState:
     samples_since_agg: int = 0
     cum_iters: int = 0  # SGD steps taken so far
     alpha: float | None = None  # mixing weight at the last perception refresh
-    cached_loss: float = 0.0  # validation loss and accuracy at the last perception refresh
-    cached_accuracy: float = 0.0
 
     def __post_init__(self):
         if self.im.arch != self.sm.arch or self.im.theta.shape != self.sm.theta.shape:
@@ -113,21 +111,19 @@ def memory_merge(w: WalkerState, beta: float) -> WalkerState:
 
 def perception_refresh(
     w: WalkerState,
-    val_features: np.ndarray,
-    val_labels: np.ndarray,
+    accuracy: float,
     params: PolicySpec,
     data_frac: np.ndarray,
     label_frac: np.ndarray,
     centrality: np.ndarray,
     g: Graph,
 ) -> TransitionPolicy:
-    """Re-measure the model and rebuild the transition row at the walker's position.
+    """Rebuild the transition row at the walker's position from its model's validation accuracy.
 
     That row is the only one `step` reads before the next refresh, so the
-    returned policy holds just it. The walker caches the measured loss and
-    accuracy and the mixing weight they give.
+    returned policy holds just it. The walker keeps the mixing weight the
+    accuracy gives.
     """
-    w.cached_loss, w.cached_accuracy = evaluate(w.im, val_features, val_labels)
-    w.alpha = accuracy_scaled_alpha(w.cached_accuracy, params)
+    w.alpha = accuracy_scaled_alpha(accuracy, params)
     imp = importance_vector(data_frac, label_frac, centrality, w.alpha, params.normalize_terms)
     return transition_at(g, imp, w.position)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -238,6 +239,35 @@ class TestPreset:
         assert proc.returncode == 0, proc.stderr
         assert main(["preset", "fig6", "--show-config"]) == 0
         assert proc.stdout == capsys.readouterr().out
+
+
+# sha256 of events.jsonl, metrics.csv and summary.csv from `xlwalk preset figN --seeds 2`. Any
+# change to these bytes must be deliberate, and recorded with the new digests.
+PRESET_DIGESTS = {
+    "fig2": ("ecc585bd25fa10219986bfdbdbc2d953b7abeeac7bd76563bb5d9d65cad9e84d",
+             "14a26607300686c33b0625f50028eac433591ca6397771c4de83a7c9661d7e13",
+             "4ef92077e5cc8be7b66185242f984b68ef8c8a27e033f70d4427c15e23b85111"),
+    "fig3": ("1b4e4d607bc902034c7aadaefdd485720b3b1f02c00ff22def766ea3ed3551fb",
+             "9e0ffd1a7ee010983403f88c0a0f0ff594bd9894d9384ea4867d2c191c09cc94",
+             "b33ec7fb1581f4d7c52605d7441287174b80df2ce3b9c6f68d4953c60ad59fcf"),
+    "fig4": ("f706684d44aaa9dd3208b4233474385b89c84c67e48744a2845f4773b285c70e",
+             "ec1388bf3c6a77cc540339089cd5c2fd395635806f140b9afd1353caca1effa1",
+             "2754bfc95340e06b04ce06ccc677ad618d21ca2cbae3f57d11b14e8c78dd70b5"),
+    "fig5": ("9b255d42100cdfb738d8e93b94815a3acc29989c2947a92bdc155958a2ce55b0",
+             "8c7181222c9a899e2c89d4f8fb2f2871cc6a0ed9cf905813b975a4ad03a9ba4d",
+             "71d2fac2fe6a313eed6ae7f0fae3481847afa45701f8d4bc362ba22791cf2b73"),
+    "fig6": ("a1ba5a022ddeed014353d161432f2f5a0f96b54bf5705b2b36f227ee6cb4f866",
+             "ad3f0466ab382b527373560d9bf544f8922d44003625fc2d55ee054f7cb1e7bf",
+             "cb4cc6aab8716c2723915fff6d66090ba914f7d1379efc254b19c6b8752c0a6b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_artifacts_are_byte_identical(tmp_path, name):
+    assert main(["preset", name, "--seeds", "2", "--out", str(tmp_path)]) == 0
+    files = ("events.jsonl", "metrics.csv", "summary.csv")
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files)
+    assert digests == PRESET_DIGESTS[name]
 
 
 class TestReport:

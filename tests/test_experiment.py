@@ -59,7 +59,8 @@ DEFAULT_CONFIG_DOC = {
     "seeds": [0],
 }
 
-# Subsystem rules checked when a config is loaded, whether or not the block is enabled:
+# Rules checked when a config is loaded, before any world is built: each subsystem's rules,
+# whether or not its block is enabled, and the rules that span blocks.
 # (config override, start of the error message).
 SPEC_RULES = [
     ({"policy": {"alpha": 1.5}}, "alpha must lie in [0, 1]"),
@@ -72,6 +73,10 @@ SPEC_RULES = [
     ({"attraction": {"enabled": False, "strength": -1}}, "attraction strength must be non-negative"),
     ({"attraction": {"base_coeff": 1.5}}, "base_coeff must lie in [0, 1]"),
     ({"attraction": {"cooldown_max": -1}}, "cooldown_max must be non-negative"),
+    ({"confine_cliques": True, "policy": {"kind": "mh"}},
+     "confinement does not support rows with lazy self-loops"),
+    ({"graph": {"nodes": 12, "cliques": 6}, "partition": {"kind": "clique_dominant"}},
+     "6 cliques need at most 4 classes to dominate"),
 ]
 
 
@@ -370,6 +375,19 @@ class TestSimulation:
         assert all("alpha_inst" in ev for ev in visits)
         assert all(0.10 <= ev["alpha_inst"] <= 0.85 for ev in visits)
 
+    def test_collisions_see_merged_models(self, monkeypatch):
+        """The memory merge precedes the collisions: every walker meets holding im is sm."""
+        seen = []
+        real = swarm.collide
+
+        def spy(s, group, *args, **kwargs):
+            seen.extend(s.walkers[r].im is s.walkers[r].sm for r in group)
+            return real(s, group, *args, **kwargs)
+
+        monkeypatch.setattr(swarm, "collide", spy)
+        run_single(mini6_config(memory=walker.MemorySpec(enabled=True, schedule=((0, 0.2),))), seed=0)
+        assert seen and all(seen)
+
     def test_memory_beta_logged(self):
         cfg = small_config(jumps=9)
         cfg = replace(
@@ -437,9 +455,7 @@ class TestDynamicModeWork:
                 return fn(*args, **kwargs)
             return wrapper
 
-        evaluate = counted("evaluate", learner.evaluate)
-        monkeypatch.setattr(walker, "evaluate", evaluate)
-        monkeypatch.setattr("xlwalk.experiment.evaluate", evaluate)
+        monkeypatch.setattr("xlwalk.experiment.evaluate", counted("evaluate", learner.evaluate))
         monkeypatch.setattr(policy, "transition_row", counted("rows", policy.transition_row))
         cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10, eval_every=eval_every)
         env = build_environment(cfg, seed=0)
@@ -459,7 +475,8 @@ class TestDynamicModeWork:
         real_step = walker.step
 
         def spy(w, pol, rng):
-            sampled.append((w.position, w.cached_accuracy, pol.row(w.position)))
+            accuracy = learner.evaluate(w.im, env.val_features, env.val_labels)[1]
+            sampled.append((w.position, accuracy, pol.row(w.position)))
             return real_step(w, pol, rng)
 
         monkeypatch.setattr(walker, "step", spy)

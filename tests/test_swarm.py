@@ -14,10 +14,8 @@ from xlwalk.swarm import (
     nearest_clique_node,
     new_swarm,
     rendezvous_tick,
-    start_cooldown,
     steer_target,
     tick_attraction,
-    uplink_aggregate,
 )
 from xlwalk.topology import gen_connected_caveman, next_hop_toward, shortest_path_distances
 from xlwalk.walker import WalkerState
@@ -191,14 +189,14 @@ class TestRendezvous:
 
     def test_uplink_is_rendezvous_without_relocation(self):
         a = make_swarm([0.0, 10.0], positions=[3, 8])
-        uplink_aggregate(a)
+        collide(a, [0, 1])
         assert [w.position for w in a.walkers] == [3, 8]
         assert all(w.im.theta[0] == 5.0 for w in a.walkers)
 
     def test_uplink_fixed_point_on_equal_models(self):
         s = make_swarm([6.0, 6.0], positions=[1, 2])
-        uplink_aggregate(s)
-        uplink_aggregate(s)
+        collide(s, [0, 1])
+        collide(s, [0, 1])
         assert all(w.im.theta[0] == 6.0 for w in s.walkers)
 
 
@@ -295,6 +293,6 @@ class TestCliqueConfined:
 class TestCooldown:
     def test_start_cooldown_sets_pairs(self):
         s = make_swarm([1, 2, 3])
-        start_cooldown(s, [0, 2], 5)
+        collide(s, [0, 2], cooldown=5)
         assert s.cooldown[0, 2] == s.cooldown[2, 0] == 5
         assert s.cooldown[0, 1] == 0

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from xlwalk.errors import ConfigError
-from xlwalk.learner import LearnerSpec, ModelParams, init_model
+from xlwalk.learner import LearnerSpec, ModelParams, evaluate, init_model
 from xlwalk.policy import (
     IMPORTANCE_STATIC,
     PolicySpec,
     TransitionPolicy,
+    accuracy_scaled_alpha,
     build_transition,
     importance_vector,
     mh_transition,
@@ -180,19 +181,17 @@ class TestPerception:
     # perception_refresh builds only the row at the walker's position, so each
     # check below walks the walker over every node to cover every row.
 
-    def test_accuracy_bounds_match_static_policies(self, world, monkeypatch):
+    def test_accuracy_bounds_match_static_policies(self, world):
         g, d, l, c, val_x, val_y = world
         params = PolicySpec()
         for acc, alpha in [(0.1, 0.10), (0.8, 0.85)]:
-            monkeypatch.setattr("xlwalk.walker.evaluate", lambda *a, acc=acc: (0.5, acc))
             static = build_transition(
                 g, importance_vector(d, l, c, alpha, True), kind=IMPORTANCE_STATIC
             )
             for i in range(g.node_count):
                 out = fresh_walker(position=i)
-                pol = perception_refresh(out, val_x, val_y, params, d, l, c, g)
-                assert out.cached_accuracy == acc
-                assert out.cached_loss == 0.5
+                pol = perception_refresh(out, acc, params, d, l, c, g)
+                assert out.alpha == accuracy_scaled_alpha(acc, params)
                 assert pol.nodes() == [i]
                 assert np.array_equal(pol.row(i)[0], static.row(i)[0])
                 assert np.allclose(pol.row(i)[1], static.row(i)[1], atol=1e-15)
@@ -201,25 +200,25 @@ class TestPerception:
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
             w = fresh_walker(position=i)
-            pol_a = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
-            pol_b = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
+            acc = evaluate(w.im, val_x, val_y)[1]
+            pol_a = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
+            pol_b = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
             assert np.array_equal(pol_a.row(i)[1], pol_b.row(i)[1])
 
-    def test_constant_stub_degenerates_to_static(self, world, monkeypatch):
+    def test_constant_stub_degenerates_to_static(self, world):
         g, d, l, c, val_x, val_y = world
-        monkeypatch.setattr("xlwalk.walker.evaluate", lambda *a: (0.5, 0.42))
         for i in range(g.node_count):
             w = fresh_walker(position=i)
             policies = []
             for _ in range(3):
-                pol = perception_refresh(w, val_x, val_y, PolicySpec(), d, l, c, g)
+                pol = perception_refresh(w, 0.42, PolicySpec(), d, l, c, g)
                 policies.append(pol)
             for pol in policies[1:]:
                 assert np.array_equal(pol.row(i)[1], policies[0].row(i)[1])
 
     def test_other_rows_are_not_built(self, world):
         g, d, l, c, val_x, val_y = world
-        pol = perception_refresh(fresh_walker(position=3), val_x, val_y, PolicySpec(), d, l, c, g)
+        pol = perception_refresh(fresh_walker(position=3), 0.42, PolicySpec(), d, l, c, g)
         with pytest.raises(KeyError):
             pol.row(4)
 
