@@ -51,6 +51,13 @@ class Partition:
         return len(self.assignment)
 
 
+def check_dataset(n_classes: int, per_class: int, val_frac: float) -> None:
+    if n_classes < 2 or per_class < 2:
+        raise ConfigError("need n_classes >= 2 and per_class >= 2")
+    if not 0.0 < val_frac < 1.0:
+        raise ConfigError(f"val_frac must lie in (0, 1), got {val_frac}")
+
+
 def gen_synthetic(
     n_classes: int,
     n_dims: int,
@@ -60,10 +67,7 @@ def gen_synthetic(
     seed: int,
 ) -> Dataset:
     """Gaussian-mixture dataset with a stratified validation split."""
-    if n_classes < 2 or per_class < 2:
-        raise ConfigError("need n_classes >= 2 and per_class >= 2")
-    if not 0.0 < val_frac < 1.0:
-        raise ConfigError(f"val_frac must lie in (0, 1), got {val_frac}")
+    check_dataset(n_classes, per_class, val_frac)
     rng = np.random.default_rng(np.random.SeedSequence([0x20, seed]))
     features = np.empty((n_classes * per_class, n_dims), dtype=np.float64)
     labels = np.empty(n_classes * per_class, dtype=np.int64)

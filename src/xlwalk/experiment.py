@@ -35,7 +35,6 @@ from .policy import (
     IMPORTANCE_DYNAMIC,
     IMPORTANCE_STATIC,
     MH,
-    UNIFORM,
     ElasticSpec,
     PolicySpec,
     TransitionPolicy,
@@ -133,6 +132,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown graph kind {self.graph.kind!r}")
         if self.partition.kind not in ("label_skew", "clique_dominant"):
             raise ConfigError(f"unknown partition kind {self.partition.kind!r}")
+        if self.graph.kind == "caveman":
+            topology.check_caveman(self.graph.cliques, self.graph.nodes)
+        else:
+            topology.check_rgg(self.graph.nodes, self.graph.radius, self.graph.max_retries)
+        datahub.check_dataset(self.data.classes, self.data.per_class, self.data.val_frac)
         needs_cliques = (
             self.partition.kind == "clique_dominant"
             or self.confine_cliques
@@ -235,7 +239,7 @@ def build_graph(gspec: GraphSpec, seed: int) -> topology.Graph:
     """The caveman or random-geometric graph a spec describes, at one seed."""
     if gspec.kind == "caveman":
         return topology.gen_connected_caveman(gspec.cliques, gspec.nodes, seed)
-    radius = gspec.radius or topology.default_rgg_radius(gspec.nodes)
+    radius = topology.default_rgg_radius(gspec.nodes) if gspec.radius is None else gspec.radius
     return topology.gen_rgg(gspec.nodes, radius, seed, gspec.max_retries)
 
 
@@ -311,19 +315,23 @@ def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_
 
 
 def _base_policy(env: Environment, cfg: ExperimentConfig) -> TransitionPolicy:
+    """The run's transition rows, confined to cliques when the config asks. Dynamic rows
+    start uniform: the scoring pass rewrites a walker's row before the walker samples it."""
     kind = cfg.policy.kind
-    if kind == UNIFORM:
-        return policy.uniform_transition(env.graph)
     if kind == MH:
-        return policy.mh_transition(env.graph)
-    imp = policy.importance_vector(
-        env.partition.data_frac,
-        env.partition.label_frac,
-        np.array(env.centrality.normalized),
-        cfg.policy.alpha,
-        cfg.policy.normalize_terms,
-    )
-    return policy.build_transition(env.graph, imp, kind=IMPORTANCE_STATIC)
+        pol = policy.mh_transition(env.graph)
+    elif kind == IMPORTANCE_STATIC:
+        imp = policy.importance_vector(
+            env.partition.data_frac,
+            env.partition.label_frac,
+            np.array(env.centrality.normalized),
+            cfg.policy.alpha,
+            cfg.policy.normalize_terms,
+        )
+        pol = policy.build_transition(env.graph, imp, kind=IMPORTANCE_STATIC)
+    else:
+        pol = policy.uniform_transition(env.graph)
+    return swarm.clique_confined_policy(env.graph, pol) if cfg.confine_cliques else pol
 
 
 def _visit_budget(env: Environment, cfg: ExperimentConfig) -> list[int]:
@@ -355,13 +363,10 @@ class Run:
     rng_interaction: np.random.Generator
     centrality: np.ndarray
     budget: list[int]  # SGD steps of one visit, per node
-    policies: list[TransitionPolicy | None]  # per walker; dynamic rows come from the scoring pass
+    policies: list[TransitionPolicy]  # per walker; dynamic walkers own theirs, rewritten by scoring
     events: list[dict] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
     visits: list[dict] = field(default_factory=list)  # this jump's visit events, in walker order
-
-    def confine(self, pol: TransitionPolicy) -> TransitionPolicy:
-        return swarm.clique_confined_policy(self.env.graph, pol) if self.cfg.confine_cliques else pol
 
     def ids(self, group: Iterable[int]) -> list[int]:
         return [self.swarm.walkers[i].id for i in group]
@@ -460,8 +465,9 @@ def score(run: Run, t: int) -> None:
     accuracy; other modes score every eval_every jumps. Walkers that hold the
     same model object, as every member does after a collision until it trains
     again, share one evaluation; models are never written in place. A
-    refresh rebuilds only the row at each walker's position, the one row the
-    next movement phase samples (nothing moves a walker in between).
+    refresh rewrites only the row at each walker's position, in its own
+    policy: the one row the next movement phase samples (nothing moves a
+    walker in between).
     """
     cfg, env = run.cfg, run.env
     dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
@@ -474,10 +480,13 @@ def score(run: Run, t: int) -> None:
             scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
         loss, acc = scored[id(w.im)]
         if dynamic:
-            run.policies[idx] = run.confine(walker.perception_refresh(
+            targets, probs = walker.perception_refresh(
                 w, acc, cfg.policy, env.partition.data_frac, env.partition.label_frac,
                 run.centrality, env.graph,
-            ))
+            )
+            if cfg.confine_cliques:
+                targets, probs = swarm.confined_row(env.graph, w.position, targets, probs)
+            run.policies[idx].set_row(w.position, probs)
             run.visits[idx]["alpha_inst"] = w.alpha
         if logged:
             run.rows.append((t, w.id, loss, acc, w.cum_iters))
@@ -508,12 +517,11 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         rng_interaction=interaction_rng(seed),
         centrality=np.array(env.centrality.normalized),
         budget=_visit_budget(env, cfg),
-        policies=[None] * len(ids),
+        # a dynamic walker rewrites rows of its own policy; one static policy serves every walker
+        policies=([_base_policy(env, cfg) for _ in ids] if cfg.policy.kind == IMPORTANCE_DYNAMIC
+                  else [_base_policy(env, cfg)] * len(ids)),
         visits=[{} for _ in ids],  # jump 0 has no visits: its scores reach only the rows
     )
-    if cfg.policy.kind != IMPORTANCE_DYNAMIC:
-        # no static row depends on the walker: one confined policy serves them all
-        run.policies = [run.confine(_base_policy(env, cfg))] * len(ids)
     score(run, 0)
     for t in range(1, cfg.jumps + 1):
         for phase in PHASES:

@@ -5,11 +5,17 @@ labels) with its spatial quality (betweenness) through a weighting knob.
 Transition rows send a walker to neighbors proportionally to their
 importance; uniform and Metropolis-Hastings rows serve as baselines. The
 elastic rule converts a node quality score into an SGD budget per visit.
+
+Every policy is one `TransitionPolicy`: the chain's transition matrix in
+compressed sparse rows. This module alone reads that layout; other modules
+build policies with `TransitionPolicy.from_rows` and use `row`, `next_node`
+and `set_row`.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,8 @@ class PolicySpec:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not (0.0 <= self.alpha_min <= 1.0 and 0.0 <= self.alpha_max <= 1.0):
+            raise ConfigError("alpha_min and alpha_max must lie in [0, 1]")
         if self.alpha_min > self.alpha_max:
             raise ConfigError("alpha_min must not exceed alpha_max")
         if self.acc_min >= self.acc_max:
@@ -66,27 +74,49 @@ class ElasticSpec:
             raise ConfigError("x_max must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionPolicy:
-    """Per-node rows of (target ids ascending, probabilities summing to 1).
+    """Transition rows in compressed sparse rows (CSR).
 
-    Rows sit in tuples indexed by node, or in dicts keyed by node that may
-    hold only some rows: dynamic mode builds just the row at a walker's
-    position. Asking for a row the policy lacks raises KeyError.
+    Row i is the slice indptr[i]:indptr[i+1] of targets (ascending node ids),
+    probs (summing to 1) and cdf (np.cumsum of that row's probs). `row`
+    returns views, which a later `set_row` overwrites: copy them to keep them.
     """
 
     kind: str
-    targets: tuple[np.ndarray, ...] | dict[int, np.ndarray]
-    probs: tuple[np.ndarray, ...] | dict[int, np.ndarray]
+    indptr: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
+    cdf: np.ndarray
+
+    @classmethod
+    def from_rows(
+        cls, kind: str, rows: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> TransitionPolicy:
+        """Pack one (targets ascending, probs) row per node, node 0 first."""
+        targets, probs = zip(*rows)
+        indptr = np.cumsum([0] + [t.size for t in targets], dtype=np.int64)
+        cdf = np.concatenate([np.cumsum(p) for p in probs])
+        targets = np.concatenate(targets).astype(np.int64)
+        return cls(kind, indptr, targets, np.concatenate(probs), cdf)
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.targets[node], self.probs[node]
+        lo, hi = self.indptr[node], self.indptr[node + 1]
+        return self.targets[lo:hi], self.probs[lo:hi]
 
-    def nodes(self) -> list[int]:
-        """Ids of the nodes whose rows this policy holds."""
-        if isinstance(self.targets, dict):
-            return list(self.targets)
-        return list(range(len(self.targets)))
+    def next_node(self, node: int, u: float) -> int:
+        """The target of node's row that an inverse-CDF draw u in [0, 1) picks."""
+        lo, hi = self.indptr[node], self.indptr[node + 1]
+        idx = lo + int(np.searchsorted(self.cdf[lo:hi], u, side="right"))
+        return int(self.targets[min(idx, hi - 1)])  # guard the u ~ 1.0 edge against rounding
+
+    def set_row(self, node: int, probs: np.ndarray) -> None:
+        """Overwrite node's probabilities over its targets, and their running sums, in place."""
+        lo, hi = self.indptr[node], self.indptr[node + 1]
+        if len(probs) != hi - lo:
+            raise ValueError(f"row {node} has {hi - lo} targets, got {len(probs)} probabilities")
+        self.probs[lo:hi] = probs
+        self.cdf[lo:hi] = np.cumsum(probs)
 
 
 def importance_vector(
@@ -118,23 +148,20 @@ def accuracy_scaled_alpha(accuracy: float, p: PolicySpec) -> float:
     return min(max(alpha, p.alpha_min), p.alpha_max)
 
 
-def _checked_importance(importance: np.ndarray) -> np.ndarray:
-    importance = np.asarray(importance, dtype=np.float64)
-    if (importance < 0).any():
-        raise ConfigError("importance values must be non-negative")
-    return importance
-
-
 def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Neighbors of node ascending, their shares of the neighborhood's importance,
     and whether the row fell back to uniform because that importance is zero.
 
-    importance must be a non-negative float64 vector over all nodes.
+    importance must be a float64 vector over all nodes. A negative value in
+    node's neighborhood raises ConfigError, since it would make the row's
+    probabilities negative or its total non-positive.
     """
     nbrs = np.array(g.adjacency[node], dtype=np.int64)
     if nbrs.size == 0:
         raise ConfigError(f"node {node} has no neighbors")
     weights = importance[nbrs]
+    if (weights < 0).any():
+        raise ConfigError("importance values must be non-negative")
     total = weights.sum()
     if total <= 0.0:
         return nbrs, np.full(nbrs.size, 1.0 / nbrs.size), True
@@ -143,32 +170,17 @@ def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndar
 
 def build_transition(g: Graph, importance: np.ndarray, kind: str = IMPORTANCE_STATIC) -> TransitionPolicy:
     """Rows proportional to neighbor importance; all-zero rows fall back to uniform."""
-    importance = _checked_importance(importance)
+    importance = np.asarray(importance, dtype=np.float64)
     rows = [transition_row(g, importance, i) for i in range(g.node_count)]
     fallbacks = sum(fell_back for _, _, fell_back in rows)
     if fallbacks:
         logger.warning("%d zero-importance neighborhood(s) fell back to uniform rows", fallbacks)
-    return TransitionPolicy(
-        kind=kind, targets=tuple(t for t, _, _ in rows), probs=tuple(p for _, p, _ in rows)
-    )
-
-
-def transition_at(g: Graph, importance: np.ndarray, node: int) -> TransitionPolicy:
-    """A dynamic-mode policy holding only node's row of `build_transition(g, importance)`."""
-    targets, probs, fell_back = transition_row(g, _checked_importance(importance), node)
-    if fell_back:
-        logger.warning("zero-importance neighborhood of node %d fell back to a uniform row", node)
-    return TransitionPolicy(kind=IMPORTANCE_DYNAMIC, targets={node: targets}, probs={node: probs})
+    return TransitionPolicy.from_rows(kind, ((t, p) for t, p, _ in rows))
 
 
 def uniform_transition(g: Graph) -> TransitionPolicy:
-    targets = []
-    probs = []
-    for i in range(g.node_count):
-        nbrs = np.array(g.adjacency[i], dtype=np.int64)
-        targets.append(nbrs)
-        probs.append(np.full(nbrs.size, 1.0 / nbrs.size))
-    return TransitionPolicy(kind=UNIFORM, targets=tuple(targets), probs=tuple(probs))
+    nbrs = [np.array(adj, dtype=np.int64) for adj in g.adjacency]
+    return TransitionPolicy.from_rows(UNIFORM, ((t, np.full(t.size, 1.0 / t.size)) for t in nbrs))
 
 
 def mh_transition(g: Graph) -> TransitionPolicy:
@@ -176,8 +188,7 @@ def mh_transition(g: Graph) -> TransitionPolicy:
 
     The resulting chain has the uniform distribution as its stationary law.
     """
-    targets = []
-    probs = []
+    rows = []
     for i in range(g.node_count):
         deg_i = g.degree(i)
         ids = sorted(list(g.adjacency[i]) + [i])
@@ -190,9 +201,8 @@ def mh_transition(g: Graph) -> TransitionPolicy:
             row[pos] = p
             self_mass -= p
         row[ids.index(i)] = max(self_mass, 0.0)  # clamp float dust on regular graphs
-        targets.append(np.array(ids, dtype=np.int64))
-        probs.append(row)
-    return TransitionPolicy(kind=MH, targets=tuple(targets), probs=tuple(probs))
+        rows.append((np.array(ids, dtype=np.int64), row))
+    return TransitionPolicy.from_rows(MH, rows)
 
 
 def data_quality(data_frac: float, label_frac: float, tau2: float = 0.4) -> float:
@@ -212,13 +222,19 @@ def elastic_iterations(quality: float, p: ElasticSpec) -> int:
 
 
 def validate_policy(pol: TransitionPolicy, g: Graph, tol: float = 1e-9) -> None:
-    """Raise if any row is not a probability vector over the allowed support."""
+    """Raise unless indptr splits the arrays into one row per node and each row's targets
+    ascend inside its allowed support, its cdf is np.cumsum of its probs byte for byte,
+    and its probs form a probability vector."""
+    ptr = pol.indptr
+    if (ptr.size != g.node_count + 1 or ptr[0] != 0 or (np.diff(ptr) < 0).any()
+            or not ptr[-1] == pol.targets.size == pol.probs.size == pol.cdf.size):
+        raise AssertionError("indptr does not split targets, probs and cdf into one row per node")
     for i in range(g.node_count):
         t, p = pol.row(i)
-        if (p < 0).any():
-            raise AssertionError(f"negative probability in row {i}")
-        if abs(p.sum() - 1.0) > tol:
-            raise AssertionError(f"row {i} sums to {p.sum()}")
-        allowed = set(g.adjacency[i]) | ({i} if pol.kind == MH else set())
-        if not set(t[p > 0].tolist()) <= allowed:
-            raise AssertionError(f"row {i} has support outside its neighborhood")
+        allowed = list(g.adjacency[i]) + ([i] if pol.kind == MH else [])
+        if (np.diff(t) <= 0).any() or not np.isin(t, allowed).all():
+            raise AssertionError(f"row {i} targets are not ascending ids from its neighborhood")
+        if pol.cdf[ptr[i]:ptr[i + 1]].tobytes() != np.cumsum(p).tobytes():
+            raise AssertionError(f"row {i} cdf is not the running sum of its probabilities")
+        if (p < 0).any() or abs(p.sum() - 1.0) > tol:
+            raise AssertionError(f"row {i} is not a probability vector: {p}")

@@ -179,6 +179,22 @@ def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:
     return min(members, key=lambda m: (dist[m], m))
 
 
+def confined_row(
+    g: Graph, node: int, targets: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node's row cut to the targets in node's clique and renormalized. The row stays
+    compact: a zero-probability target outside the clique could be drawn at u ~ 1."""
+    keep = np.array([g.clique_of[j] == g.clique_of[node] for j in targets.tolist()], dtype=bool)
+    if not keep.any():
+        raise ConfigError(f"node {node} has no neighbor inside its clique")
+    kept = probs[keep]
+    total = kept.sum()
+    if total <= 0.0:
+        logger.warning("node %d confined row had zero mass; using uniform", node)
+        return targets[keep], np.full(kept.size, 1.0 / kept.size)
+    return targets[keep], kept / total
+
+
 def clique_confined_policy(g: Graph, base: TransitionPolicy) -> TransitionPolicy:
     """Restrict every row to same-clique neighbors so walks stay inside cliques.
 
@@ -192,21 +208,6 @@ def clique_confined_policy(g: Graph, base: TransitionPolicy) -> TransitionPolicy
         raise ConfigError("confinement requires a graph with cliques")
     if base.kind == MH:
         raise ConfigError("confinement does not support rows with lazy self-loops")
-    targets: dict[int, np.ndarray] = {}
-    probs: dict[int, np.ndarray] = {}
-    for i in base.nodes():
-        t, p = base.row(i)
-        keep = np.array([g.clique_of[int(j)] == g.clique_of[i] for j in t], dtype=bool)
-        if not keep.any():
-            raise ConfigError(f"node {i} has no neighbor inside its clique")
-        t2 = t[keep]
-        p2 = p[keep]
-        total = p2.sum()
-        if total <= 0.0:
-            logger.warning("node %d confined row had zero mass; using uniform", i)
-            p2 = np.full(t2.size, 1.0 / t2.size)
-        else:
-            p2 = p2 / total
-        targets[i] = t2
-        probs[i] = p2
-    return TransitionPolicy(kind=base.kind, targets=targets, probs=probs)
+    return TransitionPolicy.from_rows(
+        base.kind, (confined_row(g, i, *base.row(i)) for i in range(g.node_count))
+    )

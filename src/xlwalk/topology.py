@@ -76,6 +76,13 @@ def is_connected(g: Graph) -> bool:
     return len(_bfs_shortest_paths(g, 0)[3]) == g.node_count
 
 
+def check_caveman(n_cliques: int, n_nodes: int) -> None:
+    if n_cliques < 1 or n_nodes < 2 * n_cliques:
+        raise ConfigError(
+            f"need n_nodes >= 2 * n_cliques, got {n_nodes} nodes for {n_cliques} cliques"
+        )
+
+
 def gen_connected_caveman(n_cliques: int, n_nodes: int, seed: int) -> Graph:
     """Ring of cliques: per clique one internal edge is rewired to the next clique.
 
@@ -83,10 +90,7 @@ def gen_connected_caveman(n_cliques: int, n_nodes: int, seed: int) -> Graph:
     clique each rewired edge attaches to; everything else is deterministic.
     A single clique yields the complete graph (no rewiring partner).
     """
-    if n_cliques < 1 or n_nodes < 2 * n_cliques:
-        raise ConfigError(
-            f"need n_nodes >= 2 * n_cliques, got {n_nodes} nodes for {n_cliques} cliques"
-        )
+    check_caveman(n_cliques, n_nodes)
     rng = np.random.default_rng(np.random.SeedSequence([0x10, seed]))
     base, extra = divmod(n_nodes, n_cliques)
     sizes = [base + 1 if k < extra else base for k in range(n_cliques)]
@@ -125,17 +129,21 @@ def default_rgg_radius(n_nodes: int) -> float:
     return rgg_radius_for_degree(n_nodes, max(6.0, math.log(n_nodes) + 2.0))
 
 
+def check_rgg(n_nodes: int, radius: float | None, max_retries: int) -> None:
+    if n_nodes < 2:
+        raise ConfigError(f"need at least 2 nodes, got {n_nodes}")
+    if radius is not None and radius <= 0.0:  # None stands for the default radius
+        raise ConfigError(f"radius must be positive, got {radius}")
+    if max_retries < 1:
+        raise ConfigError("max_retries must be positive")
+
+
 def gen_rgg(n_nodes: int, radius: float, seed: int, max_retries: int = 100) -> Graph:
     """Random geometric graph in the unit square; resamples until connected.
 
     Radii of sqrt(2) or more trivially connect everything.
     """
-    if n_nodes < 2:
-        raise ConfigError(f"need at least 2 nodes, got {n_nodes}")
-    if radius <= 0.0:
-        raise ConfigError(f"radius must be positive, got {radius}")
-    if max_retries < 1:
-        raise ConfigError("max_retries must be positive")
+    check_rgg(n_nodes, radius, max_retries)
     rng = np.random.default_rng(np.random.SeedSequence([0x11, seed]))
     r2 = radius * radius
     for _ in range(max_retries):

@@ -17,15 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import policy
 from .errors import ConfigError
 from .learner import LearnerSpec, ModelParams, sgd_steps
-from .policy import (
-    PolicySpec,
-    TransitionPolicy,
-    accuracy_scaled_alpha,
-    importance_vector,
-    transition_at,
-)
 from .topology import Graph
 
 logger = logging.getLogger(__name__)
@@ -71,13 +65,9 @@ class MemorySpec:
         return beta
 
 
-def step(w: WalkerState, pol: TransitionPolicy, rng: np.random.Generator) -> None:
+def step(w: WalkerState, pol: policy.TransitionPolicy, rng: np.random.Generator) -> None:
     """Jump to the next node via one inverse-CDF draw over the current row."""
-    targets, probs = pol.row(w.position)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, targets.size - 1)  # guard the u ~ 1.0 edge against rounding
-    w.position = int(targets[idx])
+    w.position = pol.next_node(w.position, rng.random())
     w.jumps += 1
 
 
@@ -112,18 +102,25 @@ def memory_merge(w: WalkerState, beta: float) -> WalkerState:
 def perception_refresh(
     w: WalkerState,
     accuracy: float,
-    params: PolicySpec,
+    params: policy.PolicySpec,
     data_frac: np.ndarray,
     label_frac: np.ndarray,
     centrality: np.ndarray,
     g: Graph,
-) -> TransitionPolicy:
-    """Rebuild the transition row at the walker's position from its model's validation accuracy.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The transition row at the walker's position, from its model's validation accuracy.
 
-    That row is the only one `step` reads before the next refresh, so the
-    returned policy holds just it. The walker keeps the mixing weight the
-    accuracy gives.
+    Returns the row's targets and probabilities, the one row `step` reads
+    before the next refresh. The walker keeps the mixing weight the accuracy
+    gives.
     """
-    w.alpha = accuracy_scaled_alpha(accuracy, params)
-    imp = importance_vector(data_frac, label_frac, centrality, w.alpha, params.normalize_terms)
-    return transition_at(g, imp, w.position)
+    w.alpha = policy.accuracy_scaled_alpha(accuracy, params)
+    imp = policy.importance_vector(
+        data_frac, label_frac, centrality, w.alpha, params.normalize_terms
+    )
+    targets, probs, fell_back = policy.transition_row(g, imp, w.position)
+    if fell_back:
+        logger.warning(
+            "zero-importance neighborhood of node %d fell back to a uniform row", w.position
+        )
+    return targets, probs

@@ -85,6 +85,13 @@ class TestGenGraph:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GenerationError"
 
+    def test_zero_radius_exits_one(self, capsys):
+        # a radius of 0 is rejected, not replaced by the default radius
+        assert main(["gen-graph", "--kind", "rgg", "--nodes", "30", "--radius", "0", "--seed", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "ConfigError", "message": "radius must be positive, got 0.0"}
+
 
 class TestGenData:
     def test_roundtrip(self, tmp_path):
@@ -262,8 +269,16 @@ PRESET_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
-def test_preset_artifacts_are_byte_identical(tmp_path, name):
+@pytest.mark.parametrize("name, threads", [
+    pytest.param(name, threads, id=name if threads is None else f"{name}-threads{threads}")
+    for name in sorted(PRESET_DIGESTS) for threads in (None, "2")
+])
+def test_preset_artifacts_are_byte_identical(tmp_path, monkeypatch, name, threads):
+    """The digests hold run sequentially and on two worker processes."""
+    if threads is None:
+        monkeypatch.delenv("XLWALK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("XLWALK_THREADS", threads)
     assert main(["preset", name, "--seeds", "2", "--out", str(tmp_path)]) == 0
     files = ("events.jsonl", "metrics.csv", "summary.csv")
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files)

@@ -30,9 +30,11 @@ from xlwalk.experiment import (
     simulate,
     summarize,
 )
-from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC, ElasticSpec
+from xlwalk.policy import IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC, MH, UNIFORM, ElasticSpec
 from xlwalk.presets import PRESETS, preset_configs
 from xlwalk.swarm import clique_confined_policy
+
+from .test_policy import policy_matrix
 
 # The JSON form of ExperimentConfig(): every key, in order, with its default.
 DEFAULT_CONFIG_DOC = {
@@ -77,6 +79,17 @@ SPEC_RULES = [
      "confinement does not support rows with lazy self-loops"),
     ({"graph": {"nodes": 12, "cliques": 6}, "partition": {"kind": "clique_dominant"}},
      "6 cliques need at most 4 classes to dominate"),
+    ({"graph": {"nodes": 5, "cliques": 8}}, "need n_nodes >= 2 * n_cliques"),
+    ({"graph": {"kind": "caveman", "nodes": 12, "cliques": 0}}, "need n_nodes >= 2 * n_cliques"),
+    ({"graph": {"kind": "rgg", "nodes": 1, "cliques": 0}}, "need at least 2 nodes"),
+    ({"graph": {"kind": "rgg", "nodes": 30, "cliques": 0, "radius": -1.0}}, "radius must be positive"),
+    ({"graph": {"kind": "rgg", "nodes": 30, "cliques": 0, "radius": 0.0}}, "radius must be positive"),
+    ({"graph": {"kind": "rgg", "nodes": 30, "cliques": 0, "max_retries": 0}}, "max_retries must be positive"),
+    ({"data": {"per_class": 1}}, "need n_classes >= 2 and per_class >= 2"),
+    ({"data": {"classes": 1}}, "need n_classes >= 2 and per_class >= 2"),
+    ({"data": {"val_frac": 1.0}}, "val_frac must lie in (0, 1)"),
+    ({"policy": {"alpha_max": 1.5}}, "alpha_min and alpha_max must lie in [0, 1]"),
+    ({"policy": {"alpha_min": -0.1}}, "alpha_min and alpha_max must lie in [0, 1]"),
 ]
 
 
@@ -476,14 +489,17 @@ class TestDynamicModeWork:
 
         def spy(w, pol, rng):
             accuracy = learner.evaluate(w.im, env.val_features, env.val_labels)[1]
-            sampled.append((w.position, accuracy, pol.row(w.position)))
+            # copies: the next refresh rewrites the rows that pol.row views
+            lo, hi = pol.indptr[w.position], pol.indptr[w.position + 1]
+            rows = (*pol.row(w.position), pol.cdf[lo:hi])
+            sampled.append((w.position, accuracy, [a.copy() for a in rows]))
             return real_step(w, pol, rng)
 
         monkeypatch.setattr(walker, "step", spy)
         simulate(env, cfg, seed=0)
         assert len(sampled) == 2 * 20
         g, part = env.graph, env.partition
-        for position, accuracy, (targets, probs) in sampled:
+        for position, accuracy, (targets, probs, cdf) in sampled:
             alpha = policy.accuracy_scaled_alpha(accuracy, PolicySpec())
             imp = policy.importance_vector(
                 part.data_frac, part.label_frac, np.array(env.centrality.normalized), alpha
@@ -494,6 +510,62 @@ class TestDynamicModeWork:
             want_targets, want_probs = full.row(position)
             assert np.array_equal(targets, want_targets)
             assert np.array_equal(probs, want_probs)
+            assert cdf.tobytes() == np.cumsum(want_probs).tobytes()
+
+
+def chain_law_bound(mat, start, steps):
+    """Stationary law pi of a reversible chain, and `TestChainLaw`'s bound on the total
+    variation between pi and the visit frequencies of a steps-long walk from start."""
+    vals, vecs = np.linalg.eig(mat.T)
+    pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    pi = pi / pi.sum()
+    flow = pi[:, None] * mat
+    assert np.allclose(flow, flow.T, atol=1e-12)  # detailed balance: the chain is reversible
+    gap = 1.0 - np.sort(np.abs(vals))[-2]
+    assert gap > 0.0
+    expected = 0.5 * np.sqrt(2.0 * pi * (1.0 - pi) / (gap * steps)).sum()
+    expected += 0.5 * np.sqrt((1.0 - pi[start]) / pi[start]) / (gap * steps)
+    return pi, 3.0 * expected
+
+
+class TestRunVisitLaw:
+    """A lone walker run by `simulate` visits nodes at the stationary law of its run's rows.
+
+    The per-node counts of the run's visit events are checked against pi of
+    the rows `_base_policy` builds, under `TestChainLaw`'s total-variation
+    bound. Batches of one sample in two dimensions keep each jump cheap.
+    """
+
+    STEPS = 40_000
+
+    @pytest.mark.parametrize("kind, confine", [
+        (UNIFORM, False), (MH, False), (IMPORTANCE_STATIC, False), (IMPORTANCE_STATIC, True),
+    ])
+    def test_visit_counts_match_stationary_law(self, kind, confine):
+        cfg = ExperimentConfig(
+            graph=GraphSpec(kind="caveman", nodes=15, cliques=3),
+            data=DataSpec(classes=3, dims=2, per_class=20, val_frac=0.25),
+            learner=LearnerSpec(batch_size=1),
+            policy=PolicySpec(kind=kind),
+            iters_per_visit=1,
+            confine_cliques=confine,
+            jumps=self.STEPS,
+            eval_every=self.STEPS,
+        )
+        env = build_environment(cfg, seed=0)
+        g = env.graph
+        start = experiment._initial_walkers(env, cfg, 0, [0])[0].position
+        # confined, the chain is irreducible on the start clique alone
+        nodes = g.clique_members(g.clique_of[start]) if confine else list(range(g.node_count))
+        mat = policy_matrix(experiment._base_policy(env, cfg), g.node_count)[np.ix_(nodes, nodes)]
+        pi, bound = chain_law_bound(mat, nodes.index(start), self.STEPS)
+
+        res = simulate(env, cfg, seed=0)
+        visited = [ev["node"] for ev in res.events if ev["kind"] == "visit"]
+        counts = np.bincount(visited, minlength=g.node_count)
+        assert len(visited) == counts[nodes].sum() == self.STEPS  # the walk never left its nodes
+        tv = 0.5 * np.abs(counts[nodes] / self.STEPS - pi).sum()
+        assert tv <= bound, (kind, confine, tv, bound)
 
 
 class TestSharedModelEvaluation:

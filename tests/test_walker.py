@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xlwalk import policy
 from xlwalk.errors import ConfigError
 from xlwalk.learner import LearnerSpec, ModelParams, evaluate, init_model
 from xlwalk.policy import (
@@ -49,10 +50,8 @@ def fresh_walker(position=0, dims=4, classes=3, seed=0):
 
 class TestStep:
     def test_deterministic_row(self):
-        pol = TransitionPolicy(
-            kind="uniform",
-            targets=(np.array([1]), np.array([0])),
-            probs=(np.array([1.0]), np.array([1.0])),
+        pol = TransitionPolicy.from_rows(
+            "uniform", [(np.array([1]), np.array([1.0])), (np.array([0]), np.array([1.0]))]
         )
         w = fresh_walker(position=0)
         step(w, pol, FixedRng(0.999))
@@ -60,16 +59,24 @@ class TestStep:
         assert w.jumps == 1
 
     def test_inverse_cdf_ascending_order(self):
-        # uniform row over {a=1, b=2}: draw 0.3 lands in the first bucket
-        pol = TransitionPolicy(
-            kind="uniform",
-            targets=(np.array([1, 2]),),
-            probs=(np.array([0.5, 0.5]),),
-        )
-        for u, position in [(0.3, 1), (0.7, 2)]:
+        # uniform row over {a=1, b=2}: draw 0.3 lands in the first bucket, a draw on the
+        # boundary 0.5 in the second
+        pol = TransitionPolicy.from_rows("uniform", [(np.array([1, 2]), np.array([0.5, 0.5]))])
+        for u, position in [(0.3, 1), (0.5, 2), (0.7, 2)]:
             w = fresh_walker(0)
             step(w, pol, FixedRng(u))
             assert w.position == position
+
+    def test_draw_past_a_rounded_cdf_stays_in_its_row(self):
+        # ten shares of 0.1 sum to 1 - 2**-53, so the largest draw below 1 passes the cdf's end
+        pol = TransitionPolicy.from_rows(
+            "uniform", [(np.arange(1, 11), np.full(10, 0.1)), (np.array([0]), np.array([1.0]))]
+        )
+        u = np.nextafter(1.0, 0.0)
+        assert pol.row(0)[1].cumsum()[-1] <= u
+        w = fresh_walker(0)
+        step(w, pol, FixedRng(u))
+        assert w.position == 10
 
     def test_visit_frequencies_on_triangle(self):
         g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -190,37 +197,70 @@ class TestPerception:
             )
             for i in range(g.node_count):
                 out = fresh_walker(position=i)
-                pol = perception_refresh(out, acc, params, d, l, c, g)
+                targets, probs = perception_refresh(out, acc, params, d, l, c, g)
                 assert out.alpha == accuracy_scaled_alpha(acc, params)
-                assert pol.nodes() == [i]
-                assert np.array_equal(pol.row(i)[0], static.row(i)[0])
-                assert np.allclose(pol.row(i)[1], static.row(i)[1], atol=1e-15)
+                assert np.array_equal(targets, static.row(i)[0])
+                assert np.allclose(probs, static.row(i)[1], atol=1e-15)
 
     def test_equal_accuracy_gives_identical_policies(self, world):
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
             w = fresh_walker(position=i)
             acc = evaluate(w.im, val_x, val_y)[1]
-            pol_a = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
-            pol_b = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
-            assert np.array_equal(pol_a.row(i)[1], pol_b.row(i)[1])
+            targets_a, probs_a = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
+            targets_b, probs_b = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
+            assert np.array_equal(targets_a, targets_b)
+            assert np.array_equal(probs_a, probs_b)
+
+    def test_negative_importance_rejected(self, world):
+        g, d, l, c, val_x, val_y = world
+        # negative data shares and zero centrality give every node negative importance
+        for i in range(g.node_count):
+            with pytest.raises(ConfigError, match="importance values must be non-negative"):
+                perception_refresh(fresh_walker(position=i), 0.5, PolicySpec(), -d, l, 0 * c, g)
+
+    def test_zero_importance_row_warns(self, world, caplog):
+        g, d, l, c, val_x, val_y = world
+        with caplog.at_level("WARNING", logger="xlwalk.walker"):
+            targets, probs = perception_refresh(
+                fresh_walker(position=3), 0.5, PolicySpec(), 0 * d, l, 0 * c, g
+            )
+        assert np.allclose(probs, 1.0 / targets.size)
+        assert [r.getMessage() for r in caplog.records] == [
+            "zero-importance neighborhood of node 3 fell back to a uniform row"
+        ]
 
     def test_constant_stub_degenerates_to_static(self, world):
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
             w = fresh_walker(position=i)
-            policies = []
-            for _ in range(3):
-                pol = perception_refresh(w, 0.42, PolicySpec(), d, l, c, g)
-                policies.append(pol)
-            for pol in policies[1:]:
-                assert np.array_equal(pol.row(i)[1], policies[0].row(i)[1])
+            rows = [perception_refresh(w, 0.42, PolicySpec(), d, l, c, g) for _ in range(3)]
+            for targets, probs in rows[1:]:
+                assert np.array_equal(targets, rows[0][0])
+                assert np.array_equal(probs, rows[0][1])
 
-    def test_other_rows_are_not_built(self, world):
+    def test_other_rows_are_not_built(self, world, monkeypatch):
         g, d, l, c, val_x, val_y = world
-        pol = perception_refresh(fresh_walker(position=3), 0.42, PolicySpec(), d, l, c, g)
-        with pytest.raises(KeyError):
-            pol.row(4)
+        built = []
+        real = policy.transition_row
+
+        def counted(g, importance, node):
+            built.append(node)
+            return real(g, importance, node)
+
+        monkeypatch.setattr(policy, "transition_row", counted)
+        pol = uniform_transition(g)
+        probs_before, cdf_before = pol.probs.copy(), pol.cdf.copy()
+        targets, probs = perception_refresh(fresh_walker(position=3), 0.42, PolicySpec(), d, l, c, g)
+        pol.set_row(3, probs)
+        assert built == [3]
+        lo, hi = pol.indptr[3], pol.indptr[4]
+        others = np.r_[0:lo, hi:pol.probs.size]
+        assert pol.probs[others].tobytes() == probs_before[others].tobytes()
+        assert pol.cdf[others].tobytes() == cdf_before[others].tobytes()
+        assert np.array_equal(pol.row(3)[0], targets)
+        assert pol.row(3)[1].tobytes() == probs.tobytes() != probs_before[lo:hi].tobytes()
+        assert pol.cdf[lo:hi].tobytes() == np.cumsum(probs).tobytes()
 
     def test_stale_model_never_read_when_memory_disabled(self):
         """Training with a corrupted stale copy gives an identical IM path."""
