@@ -51,9 +51,9 @@ class Partition:
         return len(self.assignment)
 
 
-def check_dataset(n_classes: int, per_class: int, val_frac: float) -> None:
-    if n_classes < 2 or per_class < 2:
-        raise ConfigError("need n_classes >= 2 and per_class >= 2")
+def check_dataset(n_classes: int, n_dims: int, per_class: int, val_frac: float) -> None:
+    if n_classes < 2 or per_class < 2 or n_dims < 1:
+        raise ConfigError("need n_classes >= 2 and per_class >= 2, and n_dims >= 1")
     if not 0.0 < val_frac < 1.0:
         raise ConfigError(f"val_frac must lie in (0, 1), got {val_frac}")
 
@@ -67,7 +67,7 @@ def gen_synthetic(
     seed: int,
 ) -> Dataset:
     """Gaussian-mixture dataset with a stratified validation split."""
-    check_dataset(n_classes, per_class, val_frac)
+    check_dataset(n_classes, n_dims, per_class, val_frac)
     rng = np.random.default_rng(np.random.SeedSequence([0x20, seed]))
     features = np.empty((n_classes * per_class, n_dims), dtype=np.float64)
     labels = np.empty(n_classes * per_class, dtype=np.int64)
@@ -158,6 +158,20 @@ class _LabelPools:
         return out
 
 
+def check_label_skew(skew_frac: float, labels_lo: int, labels_hi: int, n_classes: int) -> None:
+    if not 0.0 <= skew_frac <= 1.0:
+        raise ConfigError(f"skew_frac must lie in [0, 1], got {skew_frac}")
+    if not 1 <= labels_lo <= labels_hi <= n_classes:
+        raise ConfigError(f"need 1 <= labels_lo <= labels_hi <= {n_classes}, got {labels_lo} and {labels_hi}")
+
+
+def check_clique_dominant(dominance: float, n_cliques: int, n_classes: int) -> None:
+    if not 0.0 < dominance <= 1.0:
+        raise ConfigError(f"dominance must lie in (0, 1], got {dominance}")
+    if n_cliques > n_classes:
+        raise ConfigError(f"{n_cliques} cliques need at most {n_classes} classes to dominate")
+
+
 def _finish_partition(ds: Dataset, per_node: list[list[int]]) -> Partition:
     n_train = len(ds.train_indices)
     assignment = tuple(np.array(sorted(ix), dtype=np.int64) for ix in per_node)
@@ -183,10 +197,7 @@ def partition_label_skew(
     leftovers. Counts are balanced within +/-1 across nodes. If a demanded
     label runs out, the shortfall is drawn from remaining labels and logged.
     """
-    if not 0.0 <= skew_frac <= 1.0:
-        raise ConfigError(f"skew_frac must lie in [0, 1], got {skew_frac}")
-    if not 1 <= labels_lo <= labels_hi <= ds.n_classes:
-        raise ConfigError(f"need 1 <= labels_lo <= labels_hi <= {ds.n_classes}")
+    check_label_skew(skew_frac, labels_lo, labels_hi, ds.n_classes)
     rng = np.random.default_rng(np.random.SeedSequence([0x21, seed]))
     n = g.node_count
     counts = _balanced_counts(len(ds.train_indices), n, rng)
@@ -222,12 +233,7 @@ def partition_clique_dominant(
     """
     if g.clique_of is None:
         raise ConfigError("clique-dominant partition requires a graph with cliques")
-    if not 0.0 < dominance <= 1.0:
-        raise ConfigError(f"dominance must lie in (0, 1], got {dominance}")
-    if g.n_cliques > ds.n_classes:
-        raise ConfigError(
-            f"{g.n_cliques} cliques need at most {ds.n_classes} classes to dominate"
-        )
+    check_clique_dominant(dominance, g.n_cliques, ds.n_classes)
     rng = np.random.default_rng(np.random.SeedSequence([0x22, seed]))
     n = g.node_count
     counts = _balanced_counts(len(ds.train_indices), n, rng)

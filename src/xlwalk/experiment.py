@@ -20,6 +20,7 @@ import functools
 import io
 import logging
 import os
+import sys
 import types
 import typing
 from collections.abc import Iterable
@@ -60,6 +61,14 @@ class GraphSpec:
     radius: float | None = None  # rgg only; None picks the mean-degree-6 radius
     max_retries: int = 100
 
+    def __post_init__(self):
+        if self.kind == "caveman":
+            topology.check_caveman(self.cliques, self.nodes)
+        elif self.kind == "rgg":
+            topology.check_rgg(self.nodes, self.radius, self.max_retries)
+        else:
+            raise ConfigError(f"unknown graph kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -68,6 +77,9 @@ class DataSpec:
     per_class: int = 500
     val_frac: float = 0.2
     sep: float = 3.0
+
+    def __post_init__(self):
+        datahub.check_dataset(self.classes, self.dims, self.per_class, self.val_frac)
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,10 @@ class PartitionSpec:
     labels_hi: int = 2
     dominance: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("label_skew", "clique_dominant"):
+            raise ConfigError(f"unknown partition kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class RendezvousSpec:
@@ -85,14 +101,18 @@ class RendezvousSpec:
     every: int = 10
     node: int = 0
 
+    def __post_init__(self):
+        if self.every < 1:
+            raise ConfigError("rendezvous every must be at least 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: the world, the walkers and their budget.
 
-    The learner, policy, elastic, memory and attraction blocks are the
-    subsystems' own specs, which check their fields when built. `validate`
-    checks the rest and the rules that span blocks.
+    Each block is a spec that checks its own fields when built, enabled or
+    not, and building the config checks the rest and the rules that span
+    blocks: a config that exists is valid.
     """
 
     name: str = "run"
@@ -119,24 +139,10 @@ class ExperimentConfig:
     def series_label(self) -> str:
         return self.series or self.name
 
-    def validate(self) -> None:
-        if self.jumps < 1:
-            raise ConfigError("jump budget must be at least 1")
-        if self.walkers < 1:
-            raise ConfigError("need at least one walker")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be at least 1")
-        if self.iters_per_visit < 1:
-            raise ConfigError("iters_per_visit must be at least 1")
-        if self.graph.kind not in ("caveman", "rgg"):
-            raise ConfigError(f"unknown graph kind {self.graph.kind!r}")
-        if self.partition.kind not in ("label_skew", "clique_dominant"):
-            raise ConfigError(f"unknown partition kind {self.partition.kind!r}")
-        if self.graph.kind == "caveman":
-            topology.check_caveman(self.graph.cliques, self.graph.nodes)
-        else:
-            topology.check_rgg(self.graph.nodes, self.graph.radius, self.graph.max_retries)
-        datahub.check_dataset(self.data.classes, self.data.per_class, self.data.val_frac)
+    def __post_init__(self):
+        for count in ("jumps", "walkers", "eval_every", "iters_per_visit"):
+            if getattr(self, count) < 1:
+                raise ConfigError(f"{count} must be at least 1")
         needs_cliques = (
             self.partition.kind == "clique_dominant"
             or self.confine_cliques
@@ -146,14 +152,15 @@ class ExperimentConfig:
             raise ConfigError("clique-based options require a caveman graph")
         if self.start not in ("random", "per_clique"):
             raise ConfigError(f"unknown start mode {self.start!r}")
-        if self.rendezvous.enabled and self.rendezvous.every < 1:
-            raise ConfigError("rendezvous every must be at least 1")
         if self.confine_cliques and self.policy.kind == MH:
             raise ConfigError("confinement does not support rows with lazy self-loops (policy kind mh)")
-        if self.partition.kind == "clique_dominant" and self.graph.cliques > self.data.classes:
-            raise ConfigError(
-                f"{self.graph.cliques} cliques need at most {self.data.classes} classes to dominate"
-            )
+        part = self.partition  # its partitioner's own checks, which need the class and clique counts
+        if part.kind == "label_skew":
+            datahub.check_label_skew(part.skew_frac, part.labels_lo, part.labels_hi, self.data.classes)
+        else:
+            datahub.check_clique_dominant(part.dominance, self.graph.cliques, self.data.classes)
+        if not 0 <= self.rendezvous.node < self.graph.nodes:  # both generators build exactly that many
+            raise ConfigError(f"rendezvous node {self.rendezvous.node} is not in the {self.graph.nodes}-node graph")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -187,6 +194,8 @@ def _typed(value, tp, name: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
         raise ConfigError(f"{name} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, ±Infinity or an integer past any double
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -202,9 +211,7 @@ def _from_dict(cls, doc, name: str):
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Load a config from its JSON form: every field type-checked, absent ones defaulted."""
-    cfg = _from_dict(ExperimentConfig, doc, "config")
-    cfg.validate()
-    return cfg
+    return _from_dict(ExperimentConfig, doc, "config")
 
 
 def set_config_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -233,6 +240,7 @@ class Environment:
     node_labels: list[np.ndarray]
     val_features: np.ndarray
     val_labels: np.ndarray
+    key: tuple  # the world key (graph, data, partition, seed) it was built from
 
 
 def build_graph(gspec: GraphSpec, seed: int) -> topology.Graph:
@@ -244,7 +252,6 @@ def build_graph(gspec: GraphSpec, seed: int) -> topology.Graph:
 
 
 def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
-    cfg.validate()
     g = build_graph(cfg.graph, seed)
     ds = datahub.gen_synthetic(
         cfg.data.classes, cfg.data.dims, cfg.data.per_class, cfg.data.val_frac, cfg.data.sep, seed
@@ -265,6 +272,7 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
         node_labels=[y for _, y in views],
         val_features=ds.features[ds.val_indices],
         val_labels=ds.labels[ds.val_indices],
+        key=_world_key(cfg, seed),
     )
 
 
@@ -497,16 +505,14 @@ PHASES = (attract, move, train, merge_memory, collisions, score)
 
 
 def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: list[int] | None = None) -> RunResult:
-    """Execute one full run over a prebuilt environment.
+    """Execute one full run over the environment built for (cfg, seed).
 
     walker_ids defaults to range(cfg.walkers); passing an explicit subset
     reruns just those walkers on their own sub-streams, which is what makes
     non-interacting multi-walker runs decomposable walker by walker.
     """
-    cfg.validate()
-    nodes = env.graph.node_count
-    if cfg.rendezvous.enabled and not 0 <= cfg.rendezvous.node < nodes:
-        raise ConfigError(f"rendezvous node {cfg.rendezvous.node} is not in the {nodes}-node graph")
+    if env.key != _world_key(cfg, seed):
+        raise ConfigError("the environment was built for another graph, data, partition or seed")
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
     run = Run(
         cfg=cfg,
@@ -562,11 +568,10 @@ def _run_world_ordered(cells: list[tuple[ExperimentConfig, int]]) -> list[RunRes
     next is built.
     """
     results = []
-    env, key = None, None
+    env = None
     for cfg, seed in cells:
-        if _world_key(cfg, seed) != key:
+        if env is None or env.key != _world_key(cfg, seed):
             env = None  # drop the old world before the new one is built
-            key = _world_key(cfg, seed)
             env = build_environment(cfg, seed)
         results.append(simulate(env, cfg, seed))
     return results

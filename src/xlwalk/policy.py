@@ -72,6 +72,8 @@ class ElasticSpec:
     def __post_init__(self):
         if self.x_max < 1:
             raise ConfigError("x_max must be at least 1")
+        if self.tau1 < 0 or self.tau2 < 0:  # a negative one overflows data_quality or the sigmoid
+            raise ConfigError("elastic tau1 and tau2 must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,6 +108,13 @@ class TestGenData:
         assert (tmp_path / "ds.features.bin").exists()
         assert load_dataset(out).n_samples == 30
 
+    def test_negative_dims_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
+        assert main(["gen-data", "--dims", "-1", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "need n_classes >= 2 and per_class >= 2, and n_dims >= 1"}
+        assert not out.exists()
+
 
 class TestRun:
     def test_outputs_written(self, tmp_path):
@@ -192,6 +199,16 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, literal):
+        path = tmp_path / "nan.json"
+        path.write_text('{"learner": {"learning_rate": %s}, "jumps": 2}' % literal)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("config.learner.learning_rate must be a finite number")
+        assert not (tmp_path / "o").exists()
+
     def test_config_not_an_object_exits_one(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -246,6 +263,23 @@ class TestPreset:
         assert proc.returncode == 0, proc.stderr
         assert main(["preset", "fig6", "--show-config"]) == 0
         assert proc.stdout == capsys.readouterr().out
+
+
+# sha256 of `xlwalk preset figN --show-config`: every key, default, type and order of the config
+# schema as the presets fill it in. No simulation runs.
+SHOW_CONFIG_DIGESTS = {
+    "fig2": "549c18e6b4bd632487167e1b912b0acaf181b7d864b08b4ec1b1c4cdd0f3fa4e",
+    "fig3": "a8b44bff699d433e2e9ecc12b9fe4ce729c4a3f26c35b8eada3fac1bfdef728c",
+    "fig4": "8604d40ee181526d700e45f5242125f824aa148931b10adc03efd0d5f32aeee8",
+    "fig5": "517fca9d6707d7c504b2d8567652187f8d04fb18f5fb94475b6379b62b3fb2aa",
+    "fig6": "d34c7b84e11c71e7bddaf3fb33d4d5371f7cc2231d920732cc026c4b15bbefa0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHOW_CONFIG_DIGESTS))
+def test_show_config_bytes_are_pinned(capsys, name):
+    assert main(["preset", name, "--show-config"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SHOW_CONFIG_DIGESTS[name]
 
 
 # sha256 of events.jsonl, metrics.csv and summary.csv from `xlwalk preset figN --seeds 2`. Any

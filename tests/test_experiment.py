@@ -90,6 +90,20 @@ SPEC_RULES = [
     ({"data": {"val_frac": 1.0}}, "val_frac must lie in (0, 1)"),
     ({"policy": {"alpha_max": 1.5}}, "alpha_min and alpha_max must lie in [0, 1]"),
     ({"policy": {"alpha_min": -0.1}}, "alpha_min and alpha_max must lie in [0, 1]"),
+    ({"partition": {"labels_hi": 20}}, "need 1 <= labels_lo <= labels_hi <= 4, got 1 and 20"),
+    ({"partition": {"labels_lo": 0}}, "need 1 <= labels_lo <= labels_hi <= 4, got 0 and 2"),
+    ({"partition": {"skew_frac": 1.5}}, "skew_frac must lie in [0, 1]"),
+    ({"partition": {"kind": "clique_dominant", "dominance": 0.0}}, "dominance must lie in (0, 1]"),
+    ({"rendezvous": {"enabled": True, "node": 99}}, "rendezvous node 99 is not in the 12-node graph"),
+    ({"rendezvous": {"enabled": False, "every": 0}}, "rendezvous every must be at least 1"),
+    ({"data": {"dims": 0}}, "need n_classes >= 2 and per_class >= 2, and n_dims >= 1"),
+    ({"data": {"dims": -1}}, "need n_classes >= 2 and per_class >= 2, and n_dims >= 1"),
+    ({"learner": {"learning_rate": float("nan")}}, "config.learner.learning_rate must be a finite number"),
+    ({"data": {"sep": float("inf")}}, "config.data.sep must be a finite number"),
+    ({"graph": {"kind": "rgg", "nodes": 30, "radius": float("-inf")}}, "config.graph.radius must be a finite number"),
+    ({"data": {"sep": 10 ** 400}}, "config.data.sep must be a finite number"),
+    ({"elastic": {"tau1": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
+    ({"elastic": {"tau2": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
 ]
 
 
@@ -166,7 +180,7 @@ class TestConfig:
 
     def test_zero_jump_budget_rejected(self):
         with pytest.raises(ConfigError):
-            small_config(jumps=0).validate()
+            small_config(jumps=0)
 
     @pytest.mark.parametrize("learner_spec", [
         dict(batch_size=0),
@@ -178,18 +192,30 @@ class TestConfig:
     ])
     def test_bad_learner_rejected(self, learner_spec):
         with pytest.raises(ConfigError, match="learner"):
-            small_config(learner=LearnerSpec(**learner_spec)).validate()
+            small_config(learner=LearnerSpec(**learner_spec))
 
     def test_softmax_ignores_hidden(self):
-        small_config(learner=LearnerSpec(arch="softmax", hidden=0)).validate()
+        small_config(learner=LearnerSpec(arch="softmax", hidden=0))
 
     def test_clique_options_need_caveman(self):
-        cfg = small_config(
-            graph=GraphSpec(kind="rgg", nodes=20),
-            partition=PartitionSpec(kind="clique_dominant"),
-        )
         with pytest.raises(ConfigError):
-            cfg.validate()
+            small_config(
+                graph=GraphSpec(kind="rgg", nodes=20),
+                partition=PartitionSpec(kind="clique_dominant"),
+            )
+
+    @pytest.mark.parametrize("build", [
+        lambda: replace(small_config(), walkers=0),
+        lambda: replace(small_config(), rendezvous=RendezvousSpec(node=12)),
+        lambda: replace(small_config(), data=DataSpec(classes=4, dims=0)),
+        lambda: GraphSpec(kind="caveman", nodes=5, cliques=3),
+        lambda: replace(small_config(), partition=PartitionSpec(kind="clique_dominant", dominance=0.0)),
+        lambda: RendezvousSpec(every=0),
+    ])
+    def test_no_invalid_config_can_be_built(self, build):
+        """Every rule runs when its spec is built: `replace` and direct construction check too."""
+        with pytest.raises(ConfigError):
+            build()
 
     def test_set_axis_top_level(self):
         cfg = set_config_axis(small_config(), "walkers", 3)
@@ -345,6 +371,19 @@ class TestWorldAtATimeRunner:
 
 
 class TestSimulation:
+    @pytest.mark.parametrize("other, seed", [
+        ({"graph": GraphSpec(kind="caveman", nodes=16, cliques=4)}, 0),
+        ({"data": DataSpec(classes=4, dims=6, per_class=60, val_frac=0.25, sep=2.5)}, 0),
+        ({"partition": PartitionSpec(kind="label_skew", skew_frac=0.5)}, 0),
+        ({}, 1),
+    ], ids=["graph", "data", "partition", "seed"])
+    def test_rejects_an_environment_built_for_another_world(self, other, seed):
+        cfg = small_config(jumps=3)
+        env = build_environment(replace(cfg, **other), seed)
+        with pytest.raises(ConfigError, match="another graph, data, partition or seed"):
+            simulate(env, cfg, 0)
+        simulate(env, replace(cfg, walkers=2, jumps=2, **other), seed)  # same world, other walkers
+
     def test_visit_events_every_jump(self):
         cfg = small_config()
         res = run_single(cfg, seed=0)

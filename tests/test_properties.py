@@ -1,4 +1,4 @@
-"""Property tests for the swarm interaction primitives and the memory merge."""
+"""Property tests for the swarm interaction primitives, the memory merge and config loading."""
 import copy
 
 import numpy as np
@@ -8,6 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlwalk.errors import ConfigError, GenerationError
+from xlwalk.experiment import config_from_dict, run_single
 from xlwalk.learner import ModelParams
 from xlwalk.swarm import AttractionSpec, collide, new_swarm, tick_attraction
 from xlwalk.walker import WalkerState, memory_merge
@@ -137,3 +139,79 @@ def test_tick_attraction_clocks_and_pursuits(data, strength, base_coeff, cooldow
             assert q == pursuit[r]  # a running pursuit is never replaced
         elif q is not None:
             assert tuple(sorted((r, q))) in started
+
+
+def unit(lo: float = 0.0, hi: float = 1.0, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+# Bounds that a generated config may push past its limit; loading must reject each of them.
+PAST = ("dims", "labels", "skew_frac", "dominance", "cliques", "clique_options", "node", "every", "tau")
+
+
+@st.composite
+def config_docs(draw):
+    """Config documents over tiny worlds: half keep every bound, each of the others pushes
+    one bound of PAST beyond its limit."""
+    past = draw(st.sampled_from((None,) * len(PAST) + PAST))
+
+    def pick(bound, inside, outside):
+        return draw(outside if past == bound else inside)
+
+    kind = draw(st.sampled_from(["caveman", "rgg"]))
+    nodes, classes = draw(st.integers(2, 30)), draw(st.integers(2, 5))
+    cliquey = kind == "caveman" or past == "clique_options"
+    partition = draw(st.sampled_from(["label_skew", "clique_dominant"] if cliquey else ["label_skew"]))
+    cliques = min(nodes // 2, classes) if partition == "clique_dominant" else nodes // 2
+    labels_lo = draw(st.integers(1, classes))
+    confine = cliquey and draw(st.booleans())
+    return {
+        "graph": {"kind": kind, "nodes": nodes,
+                  "cliques": pick("cliques", st.integers(1, cliques), st.integers(cliques + 1, 16)),
+                  "radius": draw(st.none() | unit(0.2, 1.0)), "max_retries": draw(st.integers(1, 3))},
+        "data": {"classes": classes, "dims": pick("dims", st.integers(1, 4), st.integers(-1, 0)),
+                 "per_class": draw(st.integers(2, 12)), "val_frac": draw(unit(0.05, 0.95)),
+                 "sep": draw(unit(0.0, 4.0))},
+        "partition": {
+            "kind": partition,
+            "skew_frac": pick("skew_frac", unit(), unit(-0.5, -1e-9) | unit(1 + 1e-9, 1.5)),
+            "labels_lo": labels_lo,
+            "labels_hi": pick("labels", st.integers(labels_lo, classes), st.sampled_from([labels_lo - 1, classes + 1])),
+            "dominance": pick("dominance", unit(exclude_min=True), unit(-0.5, 0.0) | unit(1 + 1e-9, 1.5)),
+        },
+        "learner": {"arch": draw(st.sampled_from(["softmax", "mlp"])), "hidden": draw(st.integers(1, 3)),
+                    "learning_rate": draw(unit(0.0, 0.5)), "batch_size": draw(st.integers(1, 4))},
+        "policy": {"kind": draw(st.sampled_from(["uniform", "importance-static", "importance-dynamic"]
+                                                + ([] if confine else ["mh"]))),
+                   "alpha": draw(unit())},
+        "elastic": {"enabled": draw(st.booleans()), "x_max": draw(st.integers(1, 4)),
+                    "tau1": pick("tau", unit(0.0, 20.0), unit(-20.0, 20.0)),
+                    "tau2": pick("tau", unit(0.0, 2.0), unit(-20.0, 2.0))},
+        "memory": {"enabled": draw(st.booleans()), "schedule": [[0, draw(unit())]]},
+        "attraction": {"enabled": draw(st.booleans()), "strength": draw(unit(0.0, 2.0)),
+                       "base_coeff": draw(unit()), "cooldown_max": draw(st.integers(0, 3))},
+        "rendezvous": {"enabled": draw(st.booleans()), "every": pick("every", st.integers(1, 4), st.just(0)),
+                       "node": pick("node", st.integers(0, nodes - 1), st.sampled_from([-1, nodes]))},
+        "iters_per_visit": draw(st.integers(1, 3)),
+        "walkers": draw(st.integers(1, 4)),
+        "start": draw(st.sampled_from(["random", "per_clique"] if cliquey else ["random"])),
+        "confine_cliques": confine,
+        "uplink": draw(st.booleans()),
+        "jumps": draw(st.integers(1, 3)),
+        "eval_every": draw(st.integers(1, 3)),
+        "seeds": [draw(st.integers(0, 3))],
+    }
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=config_docs())
+def test_a_config_that_loads_runs(doc):
+    """Every rule runs at load: a document either fails there or runs to the end."""
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    try:
+        run_single(cfg, cfg.seeds[0])
+    except GenerationError:
+        assert cfg.graph.kind == "rgg"  # a geometric graph may stay disconnected after its retries
