@@ -76,7 +76,7 @@ def _load_config(path: str):
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, text that is not UTF-8, or an integer past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return config_from_dict(doc)
 

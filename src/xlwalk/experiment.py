@@ -8,10 +8,11 @@ wall-clock or machine state: identical inputs give identical bytes.
 
 A run is a `Run` record that `simulate` scores at jump 0 and then passes,
 jump after jump, through the functions of `PHASES`, in this fixed order:
-`attract` (attraction clocks and pursuit triggers), `move` (ascending walker
-id), `train` (local SGD), `merge_memory`, `collisions` (co-location, then
-rendezvous, then uplink) and `score` (validation scores, the dynamic
-perception refresh and the metric rows).
+`attract` (pursuit triggers), `move` (ascending walker id), `train` (local
+SGD), `merge_memory`, `collisions` (co-location, then rendezvous, then
+uplink) and `score` (validation scores, the dynamic perception refresh and
+the metric rows). Each phase reads the jump `t`, the run's one clock; the
+rendezvous schedule and the event format live in this module alone.
 """
 from __future__ import annotations
 
@@ -143,6 +144,8 @@ class ExperimentConfig:
         for count in ("jumps", "walkers", "eval_every", "iters_per_visit"):
             if getattr(self, count) < 1:
                 raise ConfigError(f"{count} must be at least 1")
+        if len(set(self.seeds)) < len(self.seeds):  # a repeated seed would repeat a run
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         needs_cliques = (
             self.partition.kind == "clique_dominant"
             or self.confine_cliques
@@ -367,7 +370,7 @@ class Run:
     env: Environment
     run_id: str
     swarm: swarm.SwarmState
-    interactions_on: bool  # a zero trigger floor leaves walkers independent: no clocks, draws or collisions
+    interactions_on: bool  # a zero trigger floor leaves walkers independent: no draws and no collisions
     rng_interaction: np.random.Generator
     centrality: np.ndarray
     budget: list[int]  # SGD steps of one visit, per node
@@ -385,21 +388,18 @@ class Run:
         self.events.append(ev)
         return ev
 
-    def log_swarm_event(self, ev: dict, t: int, **extra) -> None:
-        """Stamp a swarm event with the run and jump, map its walker indices to ids, log it.
-
-        Keys stay in the order kind, walkers, run_id, t, then extra, which
-        events.jsonl preserves.
-        """
-        ev.update(run_id=self.run_id, t=t, walkers=self.ids(ev["walkers"]), **extra)
-        self.events.append(ev)
+    def log_pursuits(self, t: int, kind: str, pairs: list[tuple[int, int]], **extra) -> None:
+        """Log a pursuit_start or pursuit_end event per walker index pair, keyed kind, walkers,
+        run_id, t, then extra: the order events.jsonl keeps."""
+        for pair in pairs:
+            self.events.append({"kind": kind, "walkers": self.ids(pair), "run_id": self.run_id, "t": t, **extra})
 
 
 def attract(run: Run, t: int) -> None:
-    """Advance the attraction clocks and draw pursuit triggers."""
+    """Draw pursuit triggers for idle pairs from the time since each pair last aggregated."""
     if run.interactions_on:
-        for ev in swarm.tick_attraction(run.swarm, run.cfg.attraction, run.rng_interaction):
-            run.log_swarm_event(ev, t)
+        started = swarm.tick_attraction(run.swarm, run.cfg.attraction, run.rng_interaction, t)
+        run.log_pursuits(t, "pursuit_start", started)
 
 
 def move(run: Run, t: int) -> None:
@@ -409,10 +409,8 @@ def move(run: Run, t: int) -> None:
         target = swarm.steer_target(s, idx)
         if target is None:
             walker.step(w, run.policies[idx], w.rng)
-        else:
-            if target != w.position:
-                w.position = topology.next_hop_toward(g, w.position, target)
-            w.jumps += 1
+        elif target != w.position:
+            w.position = topology.next_hop_toward(g, w.position, target)
         if s.homing[idx] is not None and g.clique_of[w.position] == w.home_clique:
             s.homing[idx] = None  # only a walker with a home clique is ever sent homing
 
@@ -445,24 +443,22 @@ def collisions(run: Run, t: int) -> None:
     everyone = list(range(s.size))
     if run.interactions_on:
         for group in swarm.colocated_groups(s):
-            if all(s.cooldown[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
+            if all(t < s.inert_until[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
                 continue
             node = s.walkers[group[0]].position
-            weights = swarm.collide(s, group, cfg.memory.enabled, cfg.attraction.cooldown_max)
-            for ev in swarm.end_pursuits(s, group):
-                run.log_swarm_event(ev, t, node=node)
+            weights = swarm.collide(s, group, t, cfg.memory.enabled, cfg.attraction.cooldown_max)
+            run.log_pursuits(t, "pursuit_end", swarm.end_pursuits(s, group), node=node)
             for idx in group:
                 home = s.walkers[idx].home_clique
                 if home is not None and g.clique_of[node] != home:
                     s.homing[idx] = swarm.nearest_clique_node(g, node, home)
             run.log(t, "collide", trigger="colocation", walkers=run.ids(group), node=node, weights=weights)
     if cfg.rendezvous.enabled and t % cfg.rendezvous.every == 0:
-        weights = swarm.rendezvous_tick(s, cfg.rendezvous.every, cfg.rendezvous.node, cfg.memory.enabled)
-        for ev in swarm.end_pursuits(s, everyone):
-            run.log_swarm_event(ev, t, node=cfg.rendezvous.node)
+        weights = swarm.rendezvous_tick(s, cfg.rendezvous.node, t, cfg.memory.enabled)
+        run.log_pursuits(t, "pursuit_end", swarm.end_pursuits(s, everyone), node=cfg.rendezvous.node)
         run.log(t, "rendezvous", walkers=run.ids(everyone), node=cfg.rendezvous.node, weights=weights)
     if cfg.uplink and s.size > 1:
-        weights = swarm.collide(s, everyone, cfg.memory.enabled)
+        weights = swarm.collide(s, everyone, t, cfg.memory.enabled)
         run.log(t, "collide", trigger="uplink", walkers=run.ids(everyone), node=None, weights=weights)
 
 
@@ -615,6 +611,8 @@ def run_sweep(
     """Cross product of axis values and seeds; one series per value."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if len({str(value) for value in values}) < len(values):  # each value names one series
+        raise ConfigError(f"sweep values must not repeat, got {values}")
     cells = []
     for value in values:
         cfg_v = set_config_axis(cfg, axis, value)
@@ -708,7 +706,7 @@ def _collisions_from_events(events: Iterable[dict]) -> dict[str, tuple[int, list
     which both walkers took part in a collide (co-location or uplink) or
     rendezvous event, or 0 if they never did. This replay is the one
     definition of the intervals that `simulate` records and `report` rebuilds;
-    it equals the pair clock that drives attraction at each collision.
+    a pair's `met_at` stamp in the swarm is the same last jump, which attraction reads.
     """
     last: dict[tuple[str, int, int], int] = {}
     out: dict[str, tuple[int, list[int]]] = {}

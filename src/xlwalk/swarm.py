@@ -5,9 +5,11 @@ a successful draw puts both into mutual shortest-path pursuit until they
 meet, aggregate, and briefly lose attraction. Scheduled rendezvous and the
 per-jump uplink baseline reuse the same group-average collision.
 
-A SwarmState is owned by exactly one simulation loop. Operations update it
-and its walkers in place and return only what they produce: events or
-aggregation weights.
+A SwarmState is owned by exactly one simulation loop. Its pair state is two
+jump stamps that only `collide` writes; every rule that depends on time reads
+them against the run's jump `t`. Operations update the state and its walkers
+in place and return only what they produce: aggregation weights or the
+walker index pairs whose pursuit started or ended.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ class AttractionSpec:
     """Pairwise attraction between walkers.
 
     With base_coeff 0 no pair ever triggers, and an enabled block leaves the
-    walkers independent: simulate runs no clocks, draws or collisions.
+    walkers independent: simulate makes no draws and no collisions.
     """
 
     enabled: bool = False
@@ -51,9 +53,9 @@ class AttractionSpec:
 @dataclass
 class SwarmState:
     walkers: list[WalkerState]
-    since_collision: np.ndarray  # symmetric, zero diagonal
-    cooldown: np.ndarray  # symmetric, remaining no-attraction jumps
-    pursuit: list[int | None] = field(default_factory=list)  # partner walker id
+    met_at: np.ndarray  # symmetric: jump of the pair's last aggregation, 0 before any
+    inert_until: np.ndarray  # symmetric: first jump at which the pair is no longer inert
+    pursuit: list[int | None] = field(default_factory=list)  # partner walker index
     homing: list[int | None] = field(default_factory=list)  # node to return to
 
     @property
@@ -65,8 +67,8 @@ def new_swarm(walkers: list[WalkerState]) -> SwarmState:
     n = len(walkers)
     return SwarmState(
         walkers=list(walkers),
-        since_collision=np.zeros((n, n), dtype=np.int64),
-        cooldown=np.zeros((n, n), dtype=np.int64),
+        met_at=np.zeros((n, n), dtype=np.int64),
+        inert_until=np.zeros((n, n), dtype=np.int64),
         pursuit=[None] * n,
         homing=[None] * n,
     )
@@ -82,29 +84,27 @@ def attraction_probability(elapsed: int, cfg: AttractionSpec) -> float:
     return min(1.0, cfg.base_coeff * math.exp(exponent))
 
 
-def tick_attraction(s: SwarmState, cfg: AttractionSpec, rng: np.random.Generator) -> list[dict]:
-    """Advance the pair clocks and draw pursuit triggers for idle pairs."""
-    n = s.size
-    off_diag = ~np.eye(n, dtype=bool)
-    s.since_collision[off_diag] += 1
-    np.maximum(s.cooldown - 1, 0, out=s.cooldown)
-    events: list[dict] = []
-    if cfg.base_coeff == 0.0:  # no pair can trigger, and exp() of a long clock could overflow
-        return events
-    for r in range(n):
-        for q in range(r + 1, n):
+def tick_attraction(
+    s: SwarmState, cfg: AttractionSpec, rng: np.random.Generator, t: int
+) -> list[tuple[int, int]]:
+    """Draw pursuit triggers at jump t for idle pairs no longer inert; return the pairs started."""
+    started: list[tuple[int, int]] = []
+    if cfg.base_coeff == 0.0:  # no pair can trigger, and exp() of a long elapsed time could overflow
+        return started
+    for r in range(s.size):
+        for q in range(r + 1, s.size):
             if s.pursuit[r] is not None or s.pursuit[q] is not None:
                 continue
             if s.homing[r] is not None or s.homing[q] is not None:
                 continue
-            if s.cooldown[r, q] > 0:
+            if t < s.inert_until[r, q]:
                 continue
-            p = attraction_probability(int(s.since_collision[r, q]), cfg)
+            p = attraction_probability(t - int(s.met_at[r, q]), cfg)
             if p > 0.0 and rng.random() < p:
                 s.pursuit[r] = q
                 s.pursuit[q] = r
-                events.append({"kind": "pursuit_start", "walkers": [r, q]})
-    return events
+                started.append((r, q))
+    return started
 
 
 def steer_target(s: SwarmState, walker_id: int) -> int | None:
@@ -115,12 +115,14 @@ def steer_target(s: SwarmState, walker_id: int) -> int | None:
     return s.homing[walker_id]
 
 
-def collide(s: SwarmState, group: list[int], memory_enabled: bool = False, cooldown: int = 0) -> list[int]:
-    """Replace every group member's model with their sample-weighted average.
+def collide(
+    s: SwarmState, group: list[int], t: int, memory_enabled: bool = False, cooldown: int = 0
+) -> list[int]:
+    """Replace every group member's model with their sample-weighted average at jump t.
 
     Weights are samples seen since the member's last aggregation, plus one
-    so that freshly spawned walkers still count. Pair clocks reset and every
-    pair inside the group stays inert for `cooldown` jumps. Returns the weights.
+    so that freshly spawned walkers still count. Every pair in the group is
+    stamped as met at t and inert until t + cooldown. Returns the weights.
     """
     if len(group) < 2:
         return []
@@ -132,23 +134,22 @@ def collide(s: SwarmState, group: list[int], memory_enabled: bool = False, coold
         if memory_enabled:
             w.sm = merged
         w.samples_since_agg = 0
-    for i, r in enumerate(group):
-        for q in group[i + 1:]:
-            s.since_collision[r, q] = s.since_collision[q, r] = 0
-            s.cooldown[r, q] = s.cooldown[q, r] = cooldown
+    members = np.array(group)  # [members[:, None], members] is every pair in the group, plus the unread diagonal
+    s.met_at[members[:, None], members] = t
+    s.inert_until[members[:, None], members] = t + cooldown
     return weights
 
 
-def end_pursuits(s: SwarmState, group: list[int]) -> list[dict]:
-    """Cancel any pursuit touching a group member (both partners released)."""
-    events = []
+def end_pursuits(s: SwarmState, group: list[int]) -> list[tuple[int, int]]:
+    """Cancel any pursuit touching a group member (both partners released); return the pairs, (min, max)."""
+    ended = []
     for r in group:
         partner = s.pursuit[r]
         if partner is not None:
             s.pursuit[r] = None
             s.pursuit[partner] = None
-            events.append({"kind": "pursuit_end", "walkers": sorted([r, partner])})
-    return events
+            ended.append((min(r, partner), max(r, partner)))
+    return ended
 
 
 def colocated_groups(s: SwarmState) -> list[list[int]]:
@@ -159,15 +160,11 @@ def colocated_groups(s: SwarmState) -> list[list[int]]:
     return [sorted(idxs) for node, idxs in sorted(by_node.items()) if len(idxs) > 1]
 
 
-def rendezvous_tick(s: SwarmState, every_k: int, node: int, memory_enabled: bool = False) -> list[int]:
-    """Relocate every walker to the meeting node and apply one group average."""
-    if every_k < 1:
-        raise ConfigError("rendezvous period must be positive")
-    if s.walkers and s.walkers[0].jumps % every_k != 0:
-        raise ConfigError("rendezvous called off-schedule")
+def rendezvous_tick(s: SwarmState, node: int, t: int, memory_enabled: bool = False) -> list[int]:
+    """Relocate every walker to the meeting node and apply one group average at jump t."""
     for w in s.walkers:
         w.position = node
-    return collide(s, list(range(s.size)), memory_enabled)
+    return collide(s, list(range(s.size)), t, memory_enabled)
 
 
 def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:

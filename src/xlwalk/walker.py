@@ -33,7 +33,6 @@ class WalkerState:
     sm: ModelParams  # stale model, blended in by memory merges
     rng: np.random.Generator | None = None  # the walker's own stream: jumps and SGD batches
     home_clique: int | None = None  # set when walks are confined to the start clique
-    jumps: int = 0
     samples_since_agg: int = 0
     cum_iters: int = 0  # SGD steps taken so far
     alpha: float | None = None  # mixing weight at the last perception refresh
@@ -68,7 +67,6 @@ class MemorySpec:
 def step(w: WalkerState, pol: policy.TransitionPolicy, rng: np.random.Generator) -> None:
     """Jump to the next node via one inverse-CDF draw over the current row."""
     w.position = pol.next_node(w.position, rng.random())
-    w.jumps += 1
 
 
 def visit(

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -40,6 +42,11 @@ MULTI_WALKER = {
     "attraction": {"enabled": True, "strength": 0.2, "base_coeff": 0.05, "cooldown_max": 3},
     "jumps": 60,
 }
+
+
+# Config file contents that json.loads or the UTF-8 read reject with a ValueError of its own.
+LONG_INTEGER = b'{"jumps": 1' + b"0" * 5000 + b"}"  # past the integer digit limit of json.loads
+NOT_UTF8 = b'\xff\xfe{"jumps": 2}'
 
 
 def write_config(tmp_path, doc=None):
@@ -209,6 +216,18 @@ class TestRun:
         assert err["message"].startswith("config.learner.learning_rate must be a finite number")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("raw", [LONG_INTEGER, NOT_UTF8], ids=["long-integer", "not-utf8"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, raw, command):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        extra = ["--axis", "jumps", "--values", "2"] if command == "sweep" else []
+        assert main([command, "--config", str(path), *extra, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"config file {path} is not valid JSON")
+        assert not (tmp_path / "o").exists()
+
     def test_config_not_an_object_exits_one(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -232,6 +251,19 @@ class TestSweep:
                      "--values", "1,2", "--seeds", "2", "--out", str(out)]) == 0
         text = (out / "summary.csv").read_text()
         assert "walkers=1" in text and "walkers=2" in text
+
+    def test_repeated_values_exit_one_before_any_world(self, tmp_path, capsys, monkeypatch):
+        def no_world(*args):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(experiment, "build_environment", no_world)
+        cfg = write_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg), "--axis", "jumps",
+                     "--values", "2,2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "sweep values must not repeat, got [2, 2]"}
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_axis_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -406,6 +438,30 @@ class TestNoRunsNoArtifacts:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, dict(SMALL_CONFIG, seeds=[]))
         self._assert_nothing_written(["run", "--config", str(cfg), "--out", str(out)], out, capsys)
+
+
+def test_run_never_ends_in_a_traceback(tmp_path):
+    """Whatever bytes the config file holds, `run` returns 0 or 1, and on 1 prints the JSON error."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    path, out = tmp_path / "config.json", tmp_path / "out"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @example(raw=NOT_UTF8)
+    @example(raw=LONG_INTEGER)
+    @given(raw=st.binary(max_size=64))
+    def check(raw):
+        path.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+    check()
 
 
 class TestUsage:

@@ -104,6 +104,7 @@ SPEC_RULES = [
     ({"data": {"sep": 10 ** 400}}, "config.data.sep must be a finite number"),
     ({"elastic": {"tau1": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
     ({"elastic": {"tau2": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
+    ({"seeds": [0, 0]}, "seeds must not repeat, got [0, 0]"),
 ]
 
 
@@ -684,6 +685,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_config(), "walkers", [], seeds=[0])
 
+    @pytest.mark.parametrize("values", [[2, 2], [1, 3, 1], [True, "True"]])
+    def test_repeated_series_rejected_before_any_world(self, monkeypatch, values):
+        def no_world(*args):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(experiment, "build_environment", no_world)
+        with pytest.raises(ConfigError, match="sweep values must not repeat"):
+            run_sweep(small_config(), "jumps", values, seeds=[0])
+
 
 @pytest.fixture(scope="module")
 def records():
@@ -888,22 +898,22 @@ class TestInterCollisionReplay:
 
     @pytest.mark.parametrize("variant", sorted(PAIR_CLOCK_VARIANTS))
     def test_pair_clocks_equal_replayed_intervals(self, monkeypatch, variant):
-        """The pair clocks that drive attraction read, at each co-location, the replayed intervals."""
+        """The clock that drives attraction, t - met_at, reads at each co-location the replayed interval."""
         cfg = mini6_config(**PAIR_CLOCK_VARIANTS[variant])
-        clocks = []  # since_collision as the collision phase of each jump found it
+        stamps = []  # met_at as the collision phase of each jump found it
         real_groups = swarm.colocated_groups
 
         def spy(s):
-            clocks.append(s.since_collision.copy())
+            stamps.append(s.met_at.copy())
             return real_groups(s)
 
         monkeypatch.setattr(swarm, "colocated_groups", spy)
         res = run_single(cfg, seed=0)
-        assert len(clocks) == cfg.jumps
+        assert len(stamps) == cfg.jumps
         colocations = [ev for ev in res.events if ev["kind"] == "collide" and ev["trigger"] == "colocation"]
         assert colocations, "expected co-location collisions in 120 jumps"
         from_clocks = [
-            int(clocks[ev["t"] - 1][r, q])
+            ev["t"] - int(stamps[ev["t"] - 1][r, q])
             for ev in colocations
             for i, r in enumerate(ev["walkers"])
             for q in ev["walkers"][i + 1:]

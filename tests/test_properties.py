@@ -34,7 +34,7 @@ def symmetric(draw, n: int, hi: int) -> np.ndarray:
 
 @st.composite
 def swarms(draw, min_size: int = 1):
-    """A swarm with random models, counters, positions, clocks and paired pursuits."""
+    """A swarm with random models, counters, positions, pair stamps and paired pursuits."""
     n = draw(st.integers(min_size, 6))
     dim = draw(st.integers(1, 4))
     walkers = []
@@ -46,8 +46,8 @@ def swarms(draw, min_size: int = 1):
             samples_since_agg=draw(st.integers(0, 10_000)),
         ))
     s = new_swarm(walkers)
-    s.since_collision = symmetric(draw, n, 200)
-    s.cooldown = symmetric(draw, n, 6)
+    s.met_at = symmetric(draw, n, 200)
+    s.inert_until = s.met_at + symmetric(draw, n, 6)
     order = draw(st.permutations(range(n)))
     for r, q in zip(order[0::2][:draw(st.integers(0, n // 2))], order[1::2]):
         s.pursuit[r], s.pursuit[q] = q, r
@@ -60,15 +60,15 @@ def pursuits_symmetric(s) -> bool:
 
 
 @SETTINGS
-@given(data=st.data(), memory_enabled=st.booleans())
-def test_collide_is_a_group_average(data, memory_enabled):
+@given(data=st.data(), memory_enabled=st.booleans(), t=st.integers(200, 400), cooldown=st.integers(0, 6))
+def test_collide_is_a_group_average(data, memory_enabled, t, cooldown):
     s = data.draw(swarms(min_size=2))
     group = sorted(data.draw(st.sets(st.integers(0, s.size - 1), min_size=2)))
     records = list(s.walkers)
     before = [copy.copy(w) for w in s.walkers]  # collide updates the records in place
-    clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
+    met_at, inert_until = s.met_at.copy(), s.inert_until.copy()
 
-    weights = collide(s, group, memory_enabled)
+    weights = collide(s, group, t, memory_enabled, cooldown)
 
     assert weights == [before[r].samples_since_agg + 1 for r in group]
     merged = s.walkers[group[0]].im
@@ -85,11 +85,11 @@ def test_collide_is_a_group_average(data, memory_enabled):
     members = np.zeros(s.size, dtype=bool)
     members[group] = True
     inside = np.outer(members, members)
-    assert not s.since_collision[inside].any() and not s.cooldown[inside].any()
-    assert np.array_equal(s.since_collision, s.since_collision.T)
-    assert np.array_equal(s.cooldown, s.cooldown.T)
-    assert np.array_equal(s.since_collision[~inside], clocks[~inside])
-    assert np.array_equal(s.cooldown[~inside], cooldown[~inside])
+    assert (s.met_at[inside] == t).all() and (s.inert_until[inside] == t + cooldown).all()
+    assert np.array_equal(s.met_at, s.met_at.T)
+    assert np.array_equal(s.inert_until, s.inert_until.T)
+    assert np.array_equal(s.met_at[~inside], met_at[~inside])
+    assert np.array_equal(s.inert_until[~inside], inert_until[~inside])
     for r in range(s.size):
         assert s.walkers[r] is records[r]
         if not members[r]:
@@ -117,28 +117,37 @@ def test_memory_merge_with_zero_beta_keeps_im(im, data):
 def test_tick_attraction_clocks_and_pursuits(data, strength, base_coeff, cooldown_max, seed):
     s = data.draw(swarms())
     cfg = AttractionSpec(strength=strength, base_coeff=base_coeff, cooldown_max=cooldown_max)
-    clocks, cooldown = s.since_collision.copy(), s.cooldown.copy()
+    t = data.draw(st.integers(200, 210))  # every pair met at or before jump 200
     pursuit, homing = list(s.pursuit), list(s.homing)
 
-    events = tick_attraction(s, cfg, np.random.default_rng(seed))
+    pairs = tick_attraction(s, cfg, np.random.default_rng(seed), t)
 
-    off_diag = ~np.eye(s.size, dtype=bool)
-    assert np.array_equal(s.since_collision[off_diag], clocks[off_diag] + 1)
-    assert not np.diag(s.since_collision).any()
-    assert np.array_equal(s.cooldown, np.maximum(cooldown - 1, 0))
-    assert (s.cooldown >= 0).all()
     assert pursuits_symmetric(s)
     assert s.homing == homing
-    started = {tuple(ev["walkers"]) for ev in events}
+    assert all(r < q for r, q in pairs) and len(set(pairs)) == len(pairs)
+    started = set(pairs)
     for r, q in started:
         assert pursuit[r] is None and pursuit[q] is None
         assert homing[r] is None and homing[q] is None
-        assert s.cooldown[r, q] == 0
+        assert t >= s.inert_until[r, q]
     for r, q in enumerate(s.pursuit):
         if pursuit[r] is not None:
             assert q == pursuit[r]  # a running pursuit is never replaced
         elif q is not None:
             assert tuple(sorted((r, q))) in started
+
+
+@SETTINGS
+@given(data=st.data(), strength=st.floats(0.0, 2.0), base_coeff=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_tick_attraction_writes_no_pair_state(data, strength, base_coeff, seed):
+    """Only collide writes the pair stamps; a tick at any jump, inert pairs or not, only reads them."""
+    s = data.draw(swarms())
+    t = data.draw(st.integers(200, 210))
+    met_at, inert_until = s.met_at.copy(), s.inert_until.copy()
+    cfg = AttractionSpec(strength=strength, base_coeff=base_coeff)
+    tick_attraction(s, cfg, np.random.default_rng(seed), t)
+    assert np.array_equal(s.met_at, met_at) and np.array_equal(s.inert_until, inert_until)
 
 
 def unit(lo: float = 0.0, hi: float = 1.0, **kwargs):

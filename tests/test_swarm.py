@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,35 +76,43 @@ class TestAttractionProbability:
 
 class TestTickAttraction:
     def test_clocks_advance(self):
+        """A pair's clock is t - met_at: it advances with the jump, and a tick writes no pair state."""
         s = make_swarm([1.0, 2.0], positions=[0, 1])
-        cfg = AttractionSpec(enabled=True, strength=0.0, base_coeff=0.0)
-        s.cooldown[0, 1] = s.cooldown[1, 0] = 2
-        events = tick_attraction(s, cfg, CountingRng([]))
-        assert s.since_collision[0, 1] == 1
-        assert s.cooldown[0, 1] == 1
-        assert s.since_collision[0, 0] == 0  # diagonal untouched
-        assert events == []
+        s.met_at[0, 1] = s.met_at[1, 0] = 3
+        s.inert_until[0, 1] = s.inert_until[1, 0] = 5
+        stamps = s.met_at.copy(), s.inert_until.copy()
+        off = AttractionSpec(enabled=True, strength=0.0, base_coeff=0.0)
+        assert tick_attraction(s, off, CountingRng([]), t=9) == []
+        cfg = AttractionSpec(strength=math.log(2.0), base_coeff=0.1)  # p = 0.1 * 2 ** (t - 3)
+        assert tick_attraction(s, cfg, CountingRng([]), t=4) == []  # inert: no draw
+        assert tick_attraction(s, cfg, CountingRng([0.41]), t=5) == []  # p = 0.4
+        assert tick_attraction(s, cfg, CountingRng([0.79]), t=6) == [(0, 1)]  # p = 0.8
+        assert s.pursuit == [1, 0]
+        assert np.array_equal(s.met_at, stamps[0]) and np.array_equal(s.inert_until, stamps[1])
 
     def test_trigger_sets_mutual_pursuit(self):
         s = make_swarm([1.0, 2.0], positions=[0, 5])
         cfg = AttractionSpec(strength=0.0, base_coeff=0.5)
-        events = tick_attraction(s, cfg, CountingRng([0.1]))
+        started = tick_attraction(s, cfg, CountingRng([0.1]), t=1)
         assert s.pursuit == [1, 0]
-        assert events == [{"kind": "pursuit_start", "walkers": [0, 1]}]
+        assert started == [(0, 1)]
 
     def test_cooldown_suppresses_draws(self):
         s = make_swarm([1.0, 2.0], positions=[0, 5])
-        s.cooldown[0, 1] = s.cooldown[1, 0] = 3
+        s.inert_until[0, 1] = s.inert_until[1, 0] = 3
         cfg = AttractionSpec(strength=0.0, base_coeff=1.0)
-        events = tick_attraction(s, cfg, CountingRng([]))  # draw would crash the stub
+        started = tick_attraction(s, cfg, CountingRng([]), t=2)  # draw would crash the stub
+        assert started == []
         assert s.pursuit == [None, None]
+        assert tick_attraction(s, cfg, CountingRng([0.5]), t=3) == [(0, 1)]  # inert until jump 3
 
     def test_busy_pairs_skipped(self):
         s = make_swarm([1.0, 2.0, 3.0], positions=[0, 5, 7])
         s.pursuit[0] = 1
         s.pursuit[1] = 0
         cfg = AttractionSpec(strength=0.0, base_coeff=1.0)
-        events = tick_attraction(s, cfg, CountingRng([0.0]))
+        started = tick_attraction(s, cfg, CountingRng([0.0]), t=1)
+        assert started == []
         # only the (idle, idle) pair... there is none: 2 is idle but 0,1 busy
         assert s.pursuit == [1, 0, None]
 
@@ -121,7 +131,7 @@ class TestTickAttraction:
 class TestCollide:
     def test_sample_weighted_average(self):
         s = make_swarm([1.0, 5.0], samples=[100, 300])
-        weights = collide(s, [0, 1])
+        weights = collide(s, [0, 1], 1)
         assert weights == [101, 301]
         expected = (101 * 1.0 + 301 * 5.0) / 402
         assert s.walkers[0].im.theta[0] == pytest.approx(expected, abs=1e-15)
@@ -130,73 +140,71 @@ class TestCollide:
 
     def test_zero_counters_mean_equal_weights(self):
         s = make_swarm([2.0, 4.0])
-        weights = collide(s, [0, 1])
+        weights = collide(s, [0, 1], 1)
         assert weights == [1, 1]
         assert s.walkers[0].im.theta[0] == 3.0
 
     def test_identical_models_unchanged(self):
         s = make_swarm([7.0, 7.0, 7.0], samples=[5, 50, 500])
-        collide(s, [0, 1, 2])
+        collide(s, [0, 1, 2], 1)
         assert all(w.im.theta[0] == 7.0 for w in s.walkers)
         assert all(w.samples_since_agg == 0 for w in s.walkers)
 
     def test_resets_pair_clocks(self):
         s = make_swarm([1.0, 2.0, 3.0])
-        s.since_collision[:] = 9
-        np.fill_diagonal(s.since_collision, 0)
-        collide(s, [0, 2])
-        assert s.since_collision[0, 2] == 0
-        assert s.since_collision[0, 1] == 9  # untouched pair
+        s.met_at[:] = s.inert_until[:] = 4
+        collide(s, [0, 2], 9)
+        assert s.met_at[0, 2] == s.met_at[2, 0] == 9  # the clock t - met_at restarts at 0
+        assert s.inert_until[0, 2] == s.inert_until[2, 0] == 9  # no cooldown: the pair may draw at once
+        assert s.met_at[0, 1] == s.met_at[1, 2] == 4  # untouched pairs
+        assert s.inert_until[0, 1] == s.inert_until[1, 2] == 4
 
     def test_memory_sync(self):
         s = make_swarm([1.0, 5.0])
-        collide(s, [0, 1], memory_enabled=True)
+        collide(s, [0, 1], 1, memory_enabled=True)
         assert np.array_equal(s.walkers[0].sm.theta, s.walkers[0].im.theta)
 
     def test_sm_untouched_without_memory(self):
         s = make_swarm([1.0, 5.0])
         sm_before = [w.sm.theta.copy() for w in s.walkers]
-        collide(s, [0, 1], memory_enabled=False)
+        collide(s, [0, 1], 1, memory_enabled=False)
         for w, old in zip(s.walkers, sm_before):
             assert np.array_equal(w.sm.theta, old)
 
     def test_group_of_one_is_noop(self):
         s = make_swarm([1.0], samples=[10])
-        weights = collide(s, [0])
+        weights = collide(s, [0], 5)
         assert weights == []
         assert s.walkers[0].samples_since_agg == 10
+        assert not s.met_at.any() and not s.inert_until.any()
 
 
 class TestRendezvous:
     def test_relocates_and_averages(self):
         s = make_swarm([0.0, 10.0], positions=[3, 8], samples=[0, 0])
-        weights = rendezvous_tick(s, 10, node=5)
+        weights = rendezvous_tick(s, node=5, t=10)
+        assert weights == [1, 1]
         assert all(w.position == 5 for w in s.walkers)
         assert all(w.im.theta[0] == 5.0 for w in s.walkers)
+        assert s.met_at[0, 1] == s.inert_until[0, 1] == 10  # met at 10, never inert
 
     def test_single_walker_only_relocates(self):
         s = make_swarm([4.0], positions=[2])
-        weights = rendezvous_tick(s, 10, node=7)
+        weights = rendezvous_tick(s, node=7, t=10)
+        assert weights == []
         assert s.walkers[0].position == 7
         assert s.walkers[0].im.theta[0] == 4.0
 
-    def test_off_schedule_rejected(self):
-        s = make_swarm([1.0, 2.0])
-        for w in s.walkers:
-            w.jumps = 7
-        with pytest.raises(ConfigError):
-            rendezvous_tick(s, 10, node=0)
-
     def test_uplink_is_rendezvous_without_relocation(self):
         a = make_swarm([0.0, 10.0], positions=[3, 8])
-        collide(a, [0, 1])
+        collide(a, [0, 1], 1)
         assert [w.position for w in a.walkers] == [3, 8]
         assert all(w.im.theta[0] == 5.0 for w in a.walkers)
 
     def test_uplink_fixed_point_on_equal_models(self):
         s = make_swarm([6.0, 6.0], positions=[1, 2])
-        collide(s, [0, 1])
-        collide(s, [0, 1])
+        collide(s, [0, 1], 1)
+        collide(s, [0, 1], 2)
         assert all(w.im.theta[0] == 6.0 for w in s.walkers)
 
 
@@ -213,9 +221,12 @@ class TestColocation:
         s = make_swarm([1, 2, 3], positions=[0, 0, 9])
         s.pursuit[0] = 2
         s.pursuit[2] = 0
-        events = end_pursuits(s, [0, 1])
+        ended = end_pursuits(s, [0, 1])
         assert s.pursuit == [None, None, None]
-        assert events == [{"kind": "pursuit_end", "walkers": [0, 2]}]
+        assert ended == [(0, 2)]
+        s.pursuit[0], s.pursuit[2] = 2, 0
+        assert end_pursuits(s, [2]) == [(0, 2)]  # (min, max) whichever partner is in the group
+        assert s.pursuit == [None, None, None]
 
 
 class TestPursuitTermination:
@@ -293,6 +304,6 @@ class TestCliqueConfined:
 class TestCooldown:
     def test_start_cooldown_sets_pairs(self):
         s = make_swarm([1, 2, 3])
-        collide(s, [0, 2], cooldown=5)
-        assert s.cooldown[0, 2] == s.cooldown[2, 0] == 5
-        assert s.cooldown[0, 1] == 0
+        collide(s, [0, 2], 4, cooldown=5)
+        assert s.inert_until[0, 2] == s.inert_until[2, 0] == 9
+        assert s.inert_until[0, 1] == 0
