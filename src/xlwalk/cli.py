@@ -8,6 +8,7 @@ exits 2 via argparse. The XLWALK_THREADS env var caps runner parallelism
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -76,7 +77,7 @@ def _load_config(path: str):
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except ValueError as exc:  # invalid JSON, text that is not UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, past the digit or nesting limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return config_from_dict(doc)
 
@@ -119,7 +120,7 @@ def _cmd_report(args) -> int:
         if events_path.exists():
             events = [json.loads(line) for line in events_path.read_text().splitlines()]
         records = metrics_from_csv(metrics_path.read_text(), events)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed run outputs under {args.in_dir}: {exc!r}") from None
     (Path(args.in_dir) / "summary.csv").write_text(summarize(records))
     return 0
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GenerationError, OSError) as exc:
+    except (ConfigError, GenerationError, OSError, MemoryError) as exc:  # numpy's failed allocations included
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -4,7 +4,8 @@ A run is fully determined by (config, seed). Every random stream is derived
 from the run seed with a distinct domain tag, and each walker draws from its
 own sub-stream seeded by `seed XOR walker_id`, so walkers that never
 interact are bit-identical to the same walkers run alone. Outputs carry no
-wall-clock or machine state: identical inputs give identical bytes.
+wall-clock or machine state: identical inputs give identical bytes. Runs on
+one world share its build, and only importance runs compute its betweenness.
 
 A run is a `Run` record that `simulate` scores at jump 0 and then passes,
 jump after jump, through the functions of `PHASES`, in this fixed order:
@@ -25,7 +26,6 @@ import sys
 import types
 import typing
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
@@ -236,14 +236,19 @@ def set_config_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig
 
 @dataclass(eq=False)  # identity semantics: field-wise == is ambiguous on arrays
 class Environment:
+    """One world's graph and data; its betweenness is computed on first read, by importance runs only."""
+
     graph: topology.Graph
-    centrality: topology.Centrality
     partition: datahub.Partition
     node_features: list[np.ndarray]
     node_labels: list[np.ndarray]
     val_features: np.ndarray
     val_labels: np.ndarray
     key: tuple  # the world key (graph, data, partition, seed) it was built from
+
+    @functools.cached_property
+    def centrality(self) -> topology.Centrality:  # exact Brandes, once per world
+        return topology.betweenness(self.graph)
 
 
 def build_graph(gspec: GraphSpec, seed: int) -> topology.Graph:
@@ -269,7 +274,6 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
     views = [datahub.node_view(ds, part, node) for node in range(g.node_count)]
     return Environment(
         graph=g,
-        centrality=topology.betweenness(g),
         partition=part,
         node_features=[x for x, _ in views],
         node_labels=[y for _, y in views],
@@ -372,7 +376,6 @@ class Run:
     swarm: swarm.SwarmState
     interactions_on: bool  # a zero trigger floor leaves walkers independent: no draws and no collisions
     rng_interaction: np.random.Generator
-    centrality: np.ndarray
     budget: list[int]  # SGD steps of one visit, per node
     policies: list[TransitionPolicy]  # per walker; dynamic walkers own theirs, rewritten by scoring
     events: list[dict] = field(default_factory=list)
@@ -486,7 +489,7 @@ def score(run: Run, t: int) -> None:
         if dynamic:
             targets, probs = walker.perception_refresh(
                 w, acc, cfg.policy, env.partition.data_frac, env.partition.label_frac,
-                run.centrality, env.graph,
+                env.centrality.normalized, env.graph,
             )
             if cfg.confine_cliques:
                 targets, probs = swarm.confined_row(env.graph, w.position, targets, probs)
@@ -517,7 +520,6 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         swarm=swarm.new_swarm(_initial_walkers(env, cfg, seed, ids)),
         interactions_on=cfg.attraction.enabled and cfg.attraction.base_coeff > 0.0 and len(ids) > 1,
         rng_interaction=interaction_rng(seed),
-        centrality=np.array(env.centrality.normalized),
         budget=_visit_budget(env, cfg),
         # a dynamic walker rewrites rows of its own policy; one static policy serves every walker
         policies=([_base_policy(env, cfg) for _ in ids] if cfg.policy.kind == IMPORTANCE_DYNAMIC
@@ -591,6 +593,7 @@ def run_many(cells: list[tuple[ExperimentConfig, int]], threads: int | None = No
     if workers <= 1:
         done = _run_world_ordered(ordered)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when runs fan out
         bounds = [len(ordered) * i // workers for i in range(workers + 1)]
         slices = [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -66,6 +66,13 @@ def series_stats(records, frac: float):
     return float(np.mean(vals)), float(np.std(vals))
 
 
+def paired(diffs: dict[int, float]) -> str:
+    """A trend's weight: the mean of its per-seed differences, their standard error and sign count."""
+    d = np.array([diffs[seed] for seed in sorted(diffs)])
+    se = d.std(ddof=1) / np.sqrt(d.size)
+    return f"paired {d.mean():+.4f} SE {se:.4f}, positive on {int((d > 0).sum())}/{d.size} seeds"
+
+
 def test_criterion_1_unit_oracles():
     t0 = time.time()
     rng = np.random.default_rng(99)
@@ -182,9 +189,11 @@ def test_criterion_5_fig4_trend():
     mem_mean, mem_std = series_stats(by_series["memory"], 1 / 3)
     nom_mean, nom_std = series_stats(by_series["no-memory"], 1 / 3)
     gap = mem_mean - nom_mean
+    nom = {rec.seed: window_mean(rec, 1 / 3) for rec in by_series["no-memory"]}
+    diffs = {rec.seed: window_mean(rec, 1 / 3) - nom[rec.seed] for rec in by_series["memory"]}
     report("criterion 5 (fig4 memory trend)", gap >= 0,
            f"memory={mem_mean:.4f}±{mem_std:.4f} no-memory={nom_mean:.4f}±{nom_std:.4f} "
-           f"gap {gap:+.4f}", t0)
+           f"gap {gap:+.4f} | {paired(diffs)}", t0)
     assert gap >= 0
     assert time.time() - t0 < 600
 
@@ -197,9 +206,11 @@ def test_criterion_6_fig5_trend():
     mono = all(means[i + 1] >= means[i] - 0.01 for i in range(3))
     gain_lo = means[1] - means[0]
     gain_hi = means[3] - means[2]
+    acc = [{m.seed: m.final_accuracy for m in by_series[k]} for k in order]
+    diffs = {seed: (acc[1][seed] - acc[0][seed]) - (acc[3][seed] - acc[2][seed]) for seed in acc[0]}
     report("criterion 6 (fig5 walker-count trend)", mono and gain_lo > gain_hi,
            "acc " + " ".join(f"{m:.4f}" for m in means)
-           + f" | gain(2->6) {gain_lo:+.4f} > gain(10->14) {gain_hi:+.4f}", t0)
+           + f" | gain(2->6) {gain_lo:+.4f} > gain(10->14) {gain_hi:+.4f} | {paired(diffs)}", t0)
     assert mono
     assert gain_lo > gain_hi
     assert time.time() - t0 < 900

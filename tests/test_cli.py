@@ -47,6 +47,11 @@ MULTI_WALKER = {
 # Config file contents that json.loads or the UTF-8 read reject with a ValueError of its own.
 LONG_INTEGER = b'{"jumps": 1' + b"0" * 5000 + b"}"  # past the integer digit limit of json.loads
 NOT_UTF8 = b'\xff\xfe{"jumps": 2}'
+# Inputs whose parsers fail with errors that are not ValueErrors.
+DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000  # json.loads raises RecursionError
+LONG_FIELD = b"series,seed\n" + b"x" * 131_073 + b",0\n"  # past the csv module's field size limit
+# A first allocation of 2**50 bytes, past any 47-bit address space: it fails before a page is touched.
+PIB_OF_FEATURES = {"classes": 2, "per_class": 2 ** 40, "dims": 64}
 
 
 def write_config(tmp_path, doc=None):
@@ -120,6 +125,14 @@ class TestGenData:
         assert main(["gen-data", "--dims", "-1", "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": "need n_classes >= 2 and per_class >= 2, and n_dims >= 1"}
+        assert not out.exists()
+
+    def test_failed_allocation_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
+        argv = ["--classes", "2", "--per-class", str(PIB_OF_FEATURES["per_class"]), "--dims", "64"]
+        assert main(["gen-data", *argv, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].endswith("MemoryError") and err["message"].startswith("Unable to allocate")
         assert not out.exists()
 
 
@@ -216,7 +229,8 @@ class TestRun:
         assert err["message"].startswith("config.learner.learning_rate must be a finite number")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("raw", [LONG_INTEGER, NOT_UTF8], ids=["long-integer", "not-utf8"])
+    @pytest.mark.parametrize("raw", [LONG_INTEGER, NOT_UTF8, DEEP_NESTING],
+                             ids=["long-integer", "not-utf8", "deep-nesting"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_unreadable_config_exits_one(self, tmp_path, capsys, raw, command):
         path = tmp_path / "raw.json"
@@ -226,6 +240,13 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"config file {path} is not valid JSON")
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_allocation_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"data": PIB_OF_FEATURES})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].endswith("MemoryError") and err["message"].startswith("Unable to allocate")
         assert not (tmp_path / "o").exists()
 
     def test_config_not_an_object_exits_one(self, tmp_path, capsys):
@@ -402,6 +423,8 @@ class TestReport:
         ("events.jsonl", "[1, 2]\n"),
         ("metrics.csv", "series,seed\nx,1\n"),
         ("metrics.csv", "series,seed,t,walker,loss,acc,cum_iters\nx,one,0,0,1.0,0.5,0\n"),
+        pytest.param("events.jsonl", DEEP_NESTING.decode() + "\n", id="events.jsonl-deep-nesting"),
+        pytest.param("metrics.csv", LONG_FIELD.decode(), id="metrics.csv-long-field"),
     ])
     def test_malformed_outputs_exit_one(self, tmp_path, capsys, name, text):
         out = tmp_path / "out"
@@ -457,6 +480,36 @@ def test_run_never_ends_in_a_traceback(tmp_path):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+    check()
+
+
+def test_report_never_ends_in_a_traceback(tmp_path):
+    """Whatever bytes replace metrics.csv or events.jsonl of a run, `report` returns 0 or 1, and on 1
+    prints the JSON error."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--seed", "0", "--out", str(out)]) == 0
+    written = {name: (out / name).read_bytes() for name in ("metrics.csv", "events.jsonl")}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(name="events.jsonl", raw=DEEP_NESTING)
+    @example(name="metrics.csv", raw=DEEP_NESTING)
+    @example(name="events.jsonl", raw=LONG_FIELD)
+    @example(name="metrics.csv", raw=LONG_FIELD)
+    @given(name=st.sampled_from(sorted(written)), raw=st.binary(max_size=64))
+    def check(name, raw):
+        for other, data in written.items():
+            (out / other).write_bytes(raw if other == name else data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["report", "--in", str(out)])
         assert code in (0, 1)
         if code == 1:
             assert set(json.loads(err.getvalue())) == {"error", "message"}

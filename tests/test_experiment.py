@@ -1,14 +1,18 @@
+import concurrent.futures
 import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xlwalk import experiment, learner, policy, swarm, walker
+from xlwalk import experiment, learner, policy, swarm, topology, walker
 from xlwalk.errors import ConfigError
 from xlwalk.experiment import (
     AttractionSpec,
@@ -356,7 +360,7 @@ class TestWorldAtATimeRunner:
             assert a.metrics == b.metrics
 
     def test_workers_take_contiguous_world_slices(self, monkeypatch, built):
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
         cells = world_cells()
         results = run_many(cells, threads=2)
         keys = [[(c.graph, s) for c, s in part] for part in _InProcessPool.slices]
@@ -369,6 +373,20 @@ class TestWorldAtATimeRunner:
         run_many(cells[:1] * 3, threads=2)  # one world, fewer worlds than workers
         assert [len(part) for part in _InProcessPool.slices] == [1, 2]
         assert len(built) == 2
+
+    def test_sequential_runs_load_no_process_pool(self):
+        """concurrent.futures and multiprocessing are imported only when runs fan out."""
+        src = os.path.dirname(os.path.dirname(experiment.__file__))
+        code = ("import sys, xlwalk\n"
+                "from xlwalk.experiment import GraphSpec, DataSpec, ExperimentConfig, run_many\n"
+                "cfg = ExperimentConfig(graph=GraphSpec(nodes=12, cliques=3), jumps=3,\n"
+                "                       data=DataSpec(classes=4, dims=4, per_class=20))\n"
+                "run_many([(cfg, 0), (cfg, 1)], threads=1)\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestSimulation:
@@ -551,6 +569,57 @@ class TestDynamicModeWork:
             assert np.array_equal(targets, want_targets)
             assert np.array_equal(probs, want_probs)
             assert cdf.tobytes() == np.cumsum(want_probs).tobytes()
+
+
+class TestLazyBetweenness:
+    """A world computes its betweenness on first read: importance runs read it, and no other run does."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The graphs topology.betweenness is called on."""
+        calls = []
+        real = topology.betweenness
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(topology, "betweenness", counted)
+        return calls
+
+    @pytest.fixture
+    def forbidden(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("betweenness computed for a run that never weighs importance")
+
+        monkeypatch.setattr(topology, "betweenness", fail)
+
+    @pytest.mark.parametrize("kind", [UNIFORM, MH])
+    def test_uniform_and_mh_runs_never_compute_it(self, forbidden, kind):
+        cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10)
+        simulate(build_environment(cfg, seed=0), cfg, seed=0)
+
+    def test_uniform_world_never_computes_it(self, forbidden):
+        cfg = small_config(policy=PolicySpec(kind=UNIFORM), walkers=3, jumps=10, uplink=True)
+        run_many([(replace(cfg, name=f"u{i}"), seed) for i in range(2) for seed in (0, 1)], threads=1)
+
+    @pytest.mark.parametrize("kind", [IMPORTANCE_STATIC, IMPORTANCE_DYNAMIC])
+    def test_importance_runs_compute_it_once(self, calls, kind):
+        cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10)
+        env = build_environment(cfg, seed=0)
+        assert calls == []
+        simulate(env, cfg, seed=0)
+        simulate(env, cfg, seed=0)
+        assert calls == [env.graph]
+
+    def test_shared_world_computes_it_once(self, calls):
+        cfg = small_config(jumps=10)
+        cells = [(replace(cfg, name=kind, policy=PolicySpec(kind=kind)), 0)
+                 for kind in (UNIFORM, MH, IMPORTANCE_STATIC, IMPORTANCE_DYNAMIC)]
+        results = run_many(cells, threads=1)
+        assert len(calls) == 1
+        for cell, res in zip(cells, results):  # the same results as on a fresh world
+            assert res.metrics == run_single(*cell).metrics
 
 
 def chain_law_bound(mat, start, steps):
