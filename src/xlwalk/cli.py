@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import datahub, topology
@@ -84,8 +85,9 @@ def _load_config(path: str):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
-    results = run_many([(cfg, s) for s in seeds])
+    if args.seed is not None:
+        cfg = replace(cfg, seeds=(args.seed,))
+    results = run_many([(cfg, s) for s in cfg.seeds])
     _write_outputs(results, Path(args.out))
     return 0
 
@@ -126,6 +128,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _seed(raw: str) -> int:
+    """A generator's --seed: a non-negative integer, as every random stream is seeded by a SeedSequence."""
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xlwalk",
@@ -139,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cliques", type=int, default=8, help="caveman only")
     p.add_argument("--radius", type=float, default=None, help="rgg only; default targets mean degree 6")
     p.add_argument("--max-retries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_gen_graph)
 
@@ -149,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=500)
     p.add_argument("--val-frac", type=float, default=0.2)
     p.add_argument("--sep", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--binary", action="store_true", help="features to a float32 sidecar file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)

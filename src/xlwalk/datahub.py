@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,16 +47,14 @@ class Partition:
     data_frac: np.ndarray  # share of the global train set held at each node
     label_frac: np.ndarray  # share of distinct labels present at each node
 
-    @property
-    def node_count(self) -> int:
-        return len(self.assignment)
 
-
-def check_dataset(n_classes: int, n_dims: int, per_class: int, val_frac: float) -> None:
+def check_dataset(n_classes: int, n_dims: int, per_class: int, val_frac: float, sep: float) -> None:
     if n_classes < 2 or per_class < 2 or n_dims < 1:
         raise ConfigError("need n_classes >= 2 and per_class >= 2, and n_dims >= 1")
     if not 0.0 < val_frac < 1.0:
         raise ConfigError(f"val_frac must lie in (0, 1), got {val_frac}")
+    if not abs(sep) <= sys.float_info.max:  # NaN or infinite: every feature would be too
+        raise ConfigError(f"sep must be a finite number, got {sep}")
 
 
 def gen_synthetic(
@@ -67,7 +66,7 @@ def gen_synthetic(
     seed: int,
 ) -> Dataset:
     """Gaussian-mixture dataset with a stratified validation split."""
-    check_dataset(n_classes, n_dims, per_class, val_frac)
+    check_dataset(n_classes, n_dims, per_class, val_frac, sep)
     rng = np.random.default_rng(np.random.SeedSequence([0x20, seed]))
     features = np.empty((n_classes * per_class, n_dims), dtype=np.float64)
     labels = np.empty(n_classes * per_class, dtype=np.int64)
@@ -272,8 +271,10 @@ def partition_clique_dominant(
 
 
 def save_dataset(ds: Dataset, path: str | Path, binary_features: bool = False) -> None:
-    """Write a dataset as JSON, optionally with features in a float32 sidecar."""
+    """Write a dataset as JSON, optionally with features in a float32 sidecar named after it."""
     path = Path(path)
+    if not path.name:
+        raise ConfigError(f"dataset path {str(path)!r} names no file")
     doc: dict = {
         "n_classes": ds.n_classes,
         "n_dims": ds.n_dims,

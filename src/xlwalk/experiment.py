@@ -80,7 +80,7 @@ class DataSpec:
     sep: float = 3.0
 
     def __post_init__(self):
-        datahub.check_dataset(self.classes, self.dims, self.per_class, self.val_frac)
+        datahub.check_dataset(self.classes, self.dims, self.per_class, self.val_frac, self.sep)
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{count} must be at least 1")
         if len(set(self.seeds)) < len(self.seeds):  # a repeated seed would repeat a run
             raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
+        if any(seed < 0 for seed in self.seeds):  # every random stream is seeded by a SeedSequence
+            raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
         needs_cliques = (
             self.partition.kind == "clique_dominant"
             or self.confine_cliques
@@ -313,7 +315,9 @@ def interaction_rng(seed: int) -> np.random.Generator:
 
 
 def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids) -> list[walker.WalkerState]:
+    """The walkers at jump 0. Static walkers share one table; a dynamic walker rewrites rows of its own."""
     g = env.graph
+    shared = None if cfg.policy.kind == IMPORTANCE_DYNAMIC else _base_policy(env, cfg)
     walkers = []
     for wid in walker_ids:
         rng = walker_rng(seed, wid)
@@ -325,7 +329,8 @@ def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_
         else:
             pos = int(rng.integers(g.node_count))
         home = g.clique_of[pos] if cfg.confine_cliques else None
-        walkers.append(walker.WalkerState(id=wid, position=pos, im=im, sm=im, rng=rng, home_clique=home))
+        walkers.append(walker.WalkerState(id=wid, position=pos, im=im, sm=im, rng=rng, home_clique=home,
+                                          policy=_base_policy(env, cfg) if shared is None else shared))
     return walkers
 
 
@@ -377,7 +382,6 @@ class Run:
     interactions_on: bool  # a zero trigger floor leaves walkers independent: no draws and no collisions
     rng_interaction: np.random.Generator
     budget: list[int]  # SGD steps of one visit, per node
-    policies: list[TransitionPolicy]  # per walker; dynamic walkers own theirs, rewritten by scoring
     events: list[dict] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
     visits: list[dict] = field(default_factory=list)  # this jump's visit events, in walker order
@@ -411,7 +415,7 @@ def move(run: Run, t: int) -> None:
     for idx, w in enumerate(s.walkers):
         target = swarm.steer_target(s, idx)
         if target is None:
-            walker.step(w, run.policies[idx], w.rng)
+            walker.step(w)
         elif target != w.position:
             w.position = topology.next_hop_toward(g, w.position, target)
         if s.homing[idx] is not None and g.clique_of[w.position] == w.home_clique:
@@ -425,8 +429,7 @@ def train(run: Run, t: int) -> None:
     for w in run.swarm.walkers:
         node = w.position
         iters = run.budget[node]
-        walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner, w.rng)
-        w.cum_iters += iters
+        walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner)
         run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
 
 
@@ -449,7 +452,7 @@ def collisions(run: Run, t: int) -> None:
             if all(t < s.inert_until[r, q] for i, r in enumerate(group) for q in group[i + 1:]):
                 continue
             node = s.walkers[group[0]].position
-            weights = swarm.collide(s, group, t, cfg.memory.enabled, cfg.attraction.cooldown_max)
+            weights = swarm.collide(s, group, t, cfg.attraction.cooldown_max)
             run.log_pursuits(t, "pursuit_end", swarm.end_pursuits(s, group), node=node)
             for idx in group:
                 home = s.walkers[idx].home_clique
@@ -457,11 +460,11 @@ def collisions(run: Run, t: int) -> None:
                     s.homing[idx] = swarm.nearest_clique_node(g, node, home)
             run.log(t, "collide", trigger="colocation", walkers=run.ids(group), node=node, weights=weights)
     if cfg.rendezvous.enabled and t % cfg.rendezvous.every == 0:
-        weights = swarm.rendezvous_tick(s, cfg.rendezvous.node, t, cfg.memory.enabled)
+        weights = swarm.rendezvous_tick(s, cfg.rendezvous.node, t)
         run.log_pursuits(t, "pursuit_end", swarm.end_pursuits(s, everyone), node=cfg.rendezvous.node)
         run.log(t, "rendezvous", walkers=run.ids(everyone), node=cfg.rendezvous.node, weights=weights)
     if cfg.uplink and s.size > 1:
-        weights = swarm.collide(s, everyone, t, cfg.memory.enabled)
+        weights = swarm.collide(s, everyone, t)
         run.log(t, "collide", trigger="uplink", walkers=run.ids(everyone), node=None, weights=weights)
 
 
@@ -487,13 +490,8 @@ def score(run: Run, t: int) -> None:
             scored[id(w.im)] = evaluate(w.im, env.val_features, env.val_labels)
         loss, acc = scored[id(w.im)]
         if dynamic:
-            targets, probs = walker.perception_refresh(
-                w, acc, cfg.policy, env.partition.data_frac, env.partition.label_frac,
-                env.centrality.normalized, env.graph,
-            )
-            if cfg.confine_cliques:
-                targets, probs = swarm.confined_row(env.graph, w.position, targets, probs)
-            run.policies[idx].set_row(w.position, probs)
+            walker.perception_refresh(w, acc, cfg.policy, env.partition.data_frac, env.partition.label_frac,
+                                      env.centrality.normalized, env.graph)
             run.visits[idx]["alpha_inst"] = w.alpha
         if logged:
             run.rows.append((t, w.id, loss, acc, w.cum_iters))
@@ -521,9 +519,6 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         interactions_on=cfg.attraction.enabled and cfg.attraction.base_coeff > 0.0 and len(ids) > 1,
         rng_interaction=interaction_rng(seed),
         budget=_visit_budget(env, cfg),
-        # a dynamic walker rewrites rows of its own policy; one static policy serves every walker
-        policies=([_base_policy(env, cfg) for _ in ids] if cfg.policy.kind == IMPORTANCE_DYNAMIC
-                  else [_base_policy(env, cfg)] * len(ids)),
         visits=[{} for _ in ids],  # jump 0 has no visits: its scores reach only the rows
     )
     score(run, 0)

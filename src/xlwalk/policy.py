@@ -3,8 +3,9 @@
 A node's importance mixes its data quality (share of samples times share of
 labels) with its spatial quality (betweenness) through a weighting knob.
 Transition rows send a walker to neighbors proportionally to their
-importance; uniform and Metropolis-Hastings rows serve as baselines. The
-elastic rule converts a node quality score into an SGD budget per visit.
+importance; uniform and Metropolis-Hastings rows serve as baselines, and a
+confined row keeps only the neighbors in the node's own clique. The elastic
+rule converts a node quality score into an SGD budget per visit.
 
 Every policy is one `TransitionPolicy`: the chain's transition matrix in
 compressed sparse rows. This module alone reads that layout; other modules
@@ -168,6 +169,22 @@ def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndar
     if total <= 0.0:
         return nbrs, np.full(nbrs.size, 1.0 / nbrs.size), True
     return nbrs, weights / total, False
+
+
+def confined_row(
+    g: Graph, node: int, targets: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node's row cut to the targets in node's clique and renormalized. The row stays
+    compact: a zero-probability target outside the clique could be drawn at u ~ 1."""
+    keep = np.array([g.clique_of[j] == g.clique_of[node] for j in targets.tolist()], dtype=bool)
+    if not keep.any():
+        raise ConfigError(f"node {node} has no neighbor inside its clique")
+    kept = probs[keep]
+    total = kept.sum()
+    if total <= 0.0:
+        logger.warning("node %d confined row had zero mass; using uniform", node)
+        return targets[keep], np.full(kept.size, 1.0 / kept.size)
+    return targets[keep], kept / total
 
 
 def build_transition(g: Graph, importance: np.ndarray, kind: str = IMPORTANCE_STATIC) -> TransitionPolicy:

@@ -29,7 +29,7 @@ def _seeds(n_seeds: int) -> tuple[int, ...]:
     return tuple(range(n_seeds))
 
 
-def preset_fig2(n_seeds: int = 16, jumps: int = 400) -> list[ExperimentConfig]:
+def preset_fig2(n_seeds: int = 16) -> list[ExperimentConfig]:
     """Single walker on a clustered graph: traversal strategies head to head.
 
     The task separation and step sizes keep per-visit updates large enough
@@ -43,7 +43,7 @@ def preset_fig2(n_seeds: int = 16, jumps: int = 400) -> list[ExperimentConfig]:
         learner=LearnerSpec(learning_rate=0.1),
         iters_per_visit=30,
         walkers=1,
-        jumps=jumps,
+        jumps=400,
         eval_every=1,
         seeds=_seeds(n_seeds),
     )
@@ -58,7 +58,7 @@ def preset_fig2(n_seeds: int = 16, jumps: int = 400) -> list[ExperimentConfig]:
     return [replace(base, series=label, policy=pol) for label, pol in series]
 
 
-def preset_fig3(n_seeds: int = 10, jumps: int = 400) -> list[ExperimentConfig]:
+def preset_fig3(n_seeds: int = 10) -> list[ExperimentConfig]:
     """Fixed SGD budgets per visit versus the quality-scaled elastic budget."""
     base = ExperimentConfig(
         name="fig3",
@@ -68,7 +68,7 @@ def preset_fig3(n_seeds: int = 10, jumps: int = 400) -> list[ExperimentConfig]:
         learner=LearnerSpec(),
         policy=PolicySpec(kind=IMPORTANCE_STATIC, alpha=0.5),
         walkers=1,
-        jumps=jumps,
+        jumps=400,
         eval_every=1,
         seeds=_seeds(n_seeds),
     )
@@ -79,7 +79,7 @@ def preset_fig3(n_seeds: int = 10, jumps: int = 400) -> list[ExperimentConfig]:
     return out
 
 
-def preset_fig4(n_seeds: int = 10, jumps: int = 400) -> list[ExperimentConfig]:
+def preset_fig4(n_seeds: int = 10) -> list[ExperimentConfig]:
     """Same trajectory with and without the staged stale-model memory."""
     base = ExperimentConfig(
         name="fig4",
@@ -90,19 +90,18 @@ def preset_fig4(n_seeds: int = 10, jumps: int = 400) -> list[ExperimentConfig]:
         policy=PolicySpec(kind=IMPORTANCE_STATIC, alpha=0.5),
         iters_per_visit=5,
         walkers=1,
-        jumps=jumps,
+        jumps=400,
         eval_every=1,
         seeds=_seeds(n_seeds),
     )
-    schedule = ((0, 0.0), (jumps // 3, 0.2), (2 * jumps // 3, 0.4))
+    schedule = ((0, 0.0), (133, 0.2), (266, 0.4))  # thirds of the 400 jumps
     return [
         replace(base, series="no-memory"),
         replace(base, series="memory", memory=MemorySpec(enabled=True, schedule=schedule)),
     ]
 
 
-def preset_fig5(n_seeds: int = 16, jumps: int = 100,
-                counts: tuple[int, ...] = (2, 6, 10, 14)) -> list[ExperimentConfig]:
+def preset_fig5(n_seeds: int = 16) -> list[ExperimentConfig]:
     """Walker-count sweep with scheduled rendezvous aggregation.
 
     The jump budget stays in the coverage-limited phase: with longer runs
@@ -118,15 +117,14 @@ def preset_fig5(n_seeds: int = 16, jumps: int = 100,
         policy=PolicySpec(kind=UNIFORM),
         iters_per_visit=5,
         rendezvous=RendezvousSpec(enabled=True, every=10, node=0),
-        jumps=jumps,
+        jumps=100,
         eval_every=2,
         seeds=_seeds(n_seeds),
     )
-    return [replace(base, series=f"walkers-{k}", walkers=k) for k in counts]
+    return [replace(base, series=f"walkers-{k}", walkers=k) for k in (2, 6, 10, 14)]
 
 
-def preset_fig6(n_seeds: int = 10, jumps: int = 300,
-                strengths: tuple[float, ...] = (0.01, 0.05, 0.25)) -> list[ExperimentConfig]:
+def preset_fig6(n_seeds: int = 10) -> list[ExperimentConfig]:
     """Clique-confined walkers under increasing attraction, plus the uplink bound.
 
     The trigger floor is kept small so the attraction exponent, not the
@@ -144,7 +142,7 @@ def preset_fig6(n_seeds: int = 10, jumps: int = 300,
         walkers=8,
         start="per_clique",
         confine_cliques=True,
-        jumps=jumps,
+        jumps=300,
         eval_every=5,
         seeds=_seeds(n_seeds),
     )
@@ -154,7 +152,7 @@ def preset_fig6(n_seeds: int = 10, jumps: int = 300,
             series=f"A-{a}",
             attraction=AttractionSpec(enabled=True, strength=a, base_coeff=0.001, cooldown_max=5),
         )
-        for a in strengths
+        for a in (0.01, 0.05, 0.25)
     ]
     out.append(replace(base, series="uplink", uplink=True))
     return out

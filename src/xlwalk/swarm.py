@@ -13,7 +13,6 @@ walker index pairs whose pursuit started or ended.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -21,11 +20,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .learner import weighted_average
-from .policy import MH, TransitionPolicy
+from .policy import MH, TransitionPolicy, confined_row
 from .topology import Graph, shortest_path_distances  # noqa: F401 (unused; perfbench's tracer checks it)
 from .walker import WalkerState
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,8 @@ def steer_target(s: SwarmState, walker_id: int) -> int | None:
     return s.homing[walker_id]
 
 
-def collide(
-    s: SwarmState, group: list[int], t: int, memory_enabled: bool = False, cooldown: int = 0
-) -> list[int]:
-    """Replace every group member's model with their sample-weighted average at jump t.
+def collide(s: SwarmState, group: list[int], t: int, cooldown: int = 0) -> list[int]:
+    """Replace both models of every group member with their sample-weighted average at jump t.
 
     Weights are samples seen since the member's last aggregation, plus one
     so that freshly spawned walkers still count. Every pair in the group is
@@ -130,9 +125,7 @@ def collide(
     merged = weighted_average([s.walkers[r].im for r in group], weights)
     for r in group:
         w = s.walkers[r]
-        w.im = merged
-        if memory_enabled:
-            w.sm = merged
+        w.im = w.sm = merged
         w.samples_since_agg = 0
     members = np.array(group)  # [members[:, None], members] is every pair in the group, plus the unread diagonal
     s.met_at[members[:, None], members] = t
@@ -160,11 +153,11 @@ def colocated_groups(s: SwarmState) -> list[list[int]]:
     return [sorted(idxs) for node, idxs in sorted(by_node.items()) if len(idxs) > 1]
 
 
-def rendezvous_tick(s: SwarmState, node: int, t: int, memory_enabled: bool = False) -> list[int]:
+def rendezvous_tick(s: SwarmState, node: int, t: int) -> list[int]:
     """Relocate every walker to the meeting node and apply one group average at jump t."""
     for w in s.walkers:
         w.position = node
-    return collide(s, list(range(s.size)), t, memory_enabled)
+    return collide(s, list(range(s.size)), t)
 
 
 def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:
@@ -174,22 +167,6 @@ def nearest_clique_node(g: Graph, from_node: int, clique: int) -> int:
         return from_node
     dist = g.distances[from_node]
     return min(members, key=lambda m: (dist[m], m))
-
-
-def confined_row(
-    g: Graph, node: int, targets: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node's row cut to the targets in node's clique and renormalized. The row stays
-    compact: a zero-probability target outside the clique could be drawn at u ~ 1."""
-    keep = np.array([g.clique_of[j] == g.clique_of[node] for j in targets.tolist()], dtype=bool)
-    if not keep.any():
-        raise ConfigError(f"node {node} has no neighbor inside its clique")
-    kept = probs[keep]
-    total = kept.sum()
-    if total <= 0.0:
-        logger.warning("node %d confined row had zero mass; using uniform", node)
-        return targets[keep], np.full(kept.size, 1.0 / kept.size)
-    return targets[keep], kept / total
 
 
 def clique_confined_policy(g: Graph, base: TransitionPolicy) -> TransitionPolicy:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ class Centrality:
     normalized: tuple[float, ...]
 
 
-def _build_graph(n: int, edge_set: set[tuple[int, int]], positions=None, clique_of=None) -> Graph:
+def _build_graph(n: int, edges: Iterable[tuple[int, int]], positions=None, clique_of=None) -> Graph:
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edge_set:
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     return Graph(
@@ -150,11 +151,9 @@ def gen_rgg(n_nodes: int, radius: float, seed: int, max_retries: int = 100) -> G
         pos = rng.random((n_nodes, 2))
         diff = pos[:, None, :] - pos[None, :, :]
         within = (diff ** 2).sum(axis=2) <= r2
-        edge_set = {
-            (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes) if within[i, j]
-        }
+        rows, cols = np.nonzero(np.triu(within, 1))  # each pair i < j once
         g = _build_graph(
-            n_nodes, edge_set, positions=tuple((float(x), float(y)) for x, y in pos)
+            n_nodes, zip(rows.tolist(), cols.tolist()), positions=tuple((float(x), float(y)) for x, y in pos)
         )
         if is_connected(g):
             return g

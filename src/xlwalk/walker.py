@@ -6,9 +6,11 @@ forgetting. In dynamic mode the walker rebuilds the row it samples next from
 the importance mix that its model's last validation accuracy scales, which
 makes the induced chain time-inhomogeneous.
 
-A `WalkerState` is the walker's one mutable record. `step`, `visit` and
-`perception_refresh` update it in place and return only what they produce;
-the models it holds are immutable, so walkers can share one.
+A `WalkerState` is the walker's one mutable record: it carries its own
+stream, transition rows and counters, so `step`, `visit` and
+`perception_refresh` take nothing of the run but the node's data, and
+update the record in place. The models it holds are immutable, so walkers
+can share one.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ class WalkerState:
     im: ModelParams  # instantaneous model, trained at every visit
     sm: ModelParams  # stale model, blended in by memory merges
     rng: np.random.Generator | None = None  # the walker's own stream: jumps and SGD batches
+    policy: policy.TransitionPolicy | None = None  # the rows `step` samples; a dynamic walker's are its own
     home_clique: int | None = None  # set when walks are confined to the start clique
     samples_since_agg: int = 0
     cum_iters: int = 0  # SGD steps taken so far
@@ -64,25 +67,19 @@ class MemorySpec:
         return beta
 
 
-def step(w: WalkerState, pol: policy.TransitionPolicy, rng: np.random.Generator) -> None:
-    """Jump to the next node via one inverse-CDF draw over the current row."""
-    w.position = pol.next_node(w.position, rng.random())
+def step(w: WalkerState) -> None:
+    """Jump to the next node via one inverse-CDF draw from the walker's stream over its current row."""
+    w.position = w.policy.next_node(w.position, w.rng.random())
 
 
-def visit(
-    w: WalkerState,
-    features: np.ndarray,
-    labels: np.ndarray,
-    iters: int,
-    cfg: LearnerSpec,
-    rng: np.random.Generator,
-) -> None:
-    """Train the instantaneous model on the current node's local samples."""
+def visit(w: WalkerState, features: np.ndarray, labels: np.ndarray, iters: int, cfg: LearnerSpec) -> None:
+    """Train the instantaneous model for iters steps on the current node's local samples."""
     if features.shape[0] == 0:
         logger.debug("walker %d skipped empty node %d", w.id, w.position)
         return
-    w.im = sgd_steps(w.im, features, labels, iters, cfg, rng)
+    w.im = sgd_steps(w.im, features, labels, iters, cfg, w.rng)
     w.samples_since_agg += iters * cfg.batch_size
+    w.cum_iters += iters
 
 
 def memory_merge(w: WalkerState, beta: float) -> WalkerState:
@@ -105,12 +102,12 @@ def perception_refresh(
     label_frac: np.ndarray,
     centrality: np.ndarray,
     g: Graph,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The transition row at the walker's position, from its model's validation accuracy.
+) -> None:
+    """Rewrite the walker's row at its position from its model's validation accuracy.
 
-    Returns the row's targets and probabilities, the one row `step` reads
-    before the next refresh. The walker keeps the mixing weight the accuracy
-    gives.
+    That row, cut to the walker's current clique when its walks are confined,
+    is the one row `step` reads before the next refresh. The walker keeps the
+    mixing weight the accuracy gives.
     """
     w.alpha = policy.accuracy_scaled_alpha(accuracy, params)
     imp = policy.importance_vector(
@@ -121,4 +118,6 @@ def perception_refresh(
         logger.warning(
             "zero-importance neighborhood of node %d fell back to a uniform row", w.position
         )
-    return targets, probs
+    if w.home_clique is not None:
+        targets, probs = policy.confined_row(g, w.position, targets, probs)
+    w.policy.set_row(w.position, probs)

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xlwalk
-from xlwalk.cli import main
+from xlwalk.cli import build_parser, main
 from xlwalk.datahub import load_dataset
 from xlwalk import experiment
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
@@ -97,6 +98,12 @@ class TestGenGraph:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GenerationError"
 
+    def test_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-graph", "--kind", "caveman", "--nodes", "12", "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "seed must be non-negative, got -5" in capsys.readouterr().err
+
     def test_zero_radius_exits_one(self, capsys):
         # a radius of 0 is rejected, not replaced by the default radius
         assert main(["gen-graph", "--kind", "rgg", "--nodes", "30", "--radius", "0", "--seed", "0"]) == 1
@@ -132,7 +139,23 @@ class TestGenData:
         argv = ["--classes", "2", "--per-class", str(PIB_OF_FEATURES["per_class"]), "--dims", "64"]
         assert main(["gen-data", *argv, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"].endswith("MemoryError") and err["message"].startswith("Unable to allocate")
+        assert err["error"] == "MemoryError" and err["message"].startswith("Unable to allocate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sep", ["nan", "inf", "-inf"])
+    def test_non_finite_sep_exits_one(self, tmp_path, capsys, sep):
+        out = tmp_path / "ds.json"
+        assert main(["gen-data", "--classes", "2", "--per-class", "4", f"--sep={sep}", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"sep must be a finite number, got {float(sep)}"}
+        assert not out.exists()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--classes", "2", "--per-class", "4", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -246,7 +269,7 @@ class TestRun:
         path = write_config(tmp_path, {"data": PIB_OF_FEATURES})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"].endswith("MemoryError") and err["message"].startswith("Unable to allocate")
+        assert err["error"] == "MemoryError" and err["message"].startswith("Unable to allocate")
         assert not (tmp_path / "o").exists()
 
     def test_config_not_an_object_exits_one(self, tmp_path, capsys):
@@ -254,6 +277,13 @@ class TestRun:
         path.write_text("[1, 2]")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--seed", "-1", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "seeds must be non-negative, got [-1]"}
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -515,6 +545,85 @@ def test_report_never_ends_in_a_traceback(tmp_path):
             assert set(json.loads(err.getvalue())) == {"error", "message"}
 
     check()
+
+
+def test_every_subcommand_exits_zero_one_or_two(tmp_path):
+    """Whatever flags and values each of the six subcommands gets, `main` returns 0 or 1, or argparse
+    exits 2; on 1 the last stderr line is the JSON error, and a dataset `gen-data` writes loads finite.
+
+    Values are small integers, floats with nan and inf, and short strings, so every run stays tiny:
+    at most 20 nodes, 20 samples per class, 20 jumps and 3 sweep seeds. Junk strings hold no '.' or
+    '/', so every path stays inside tmp_path.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    write_config(tmp_path, dict(SMALL_CONFIG, data=dict(SMALL_CONFIG["data"], per_class=10)))
+    ints = st.integers(-3, 20).map(str)
+    floats = st.sampled_from(["nan", "inf", "-inf"]) | st.floats(-2, 2).map(repr)
+    junk = st.text(alphabet="ab1-_ ", max_size=4)
+    names = {name: st.sampled_from(choices) for name, choices in {
+        "config": ["config.json"], "out": ["out", "ds.json"], "kind": ["caveman", "rgg"],
+        "axis": ["jumps", "walkers", "data.sep", "policy.alpha", "graph.nodes", "seeds"],
+    }.items()}
+    values = st.lists(ints | floats, min_size=1, max_size=3).map(",".join)
+    # per subcommand: (flags it requires, optional flags), each with the values it usually gets
+    commands = {
+        "gen-graph": ({"--kind": names["kind"], "--nodes": ints},
+                      {"--cliques": ints, "--radius": floats, "--max-retries": ints, "--seed": ints,
+                       "--out": names["out"]}),
+        "gen-data": ({"--out": names["out"]},
+                     {"--classes": ints, "--dims": ints, "--per-class": ints, "--val-frac": floats,
+                      "--sep": floats, "--seed": ints}),
+        "run": ({"--config": names["config"]}, {"--seed": ints, "--out": names["out"]}),
+        "sweep": ({"--config": names["config"], "--axis": names["axis"], "--values": values},
+                  {"--seeds": st.integers(-3, 3).map(str), "--out": names["out"]}),
+        "preset": ({}, {"--out": names["out"]}),
+        "report": ({"--in": names["out"]}, {}),
+    }
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        required, optional = commands[command]
+        argv = [command]
+        if command == "preset":
+            argv.append(draw(st.sampled_from(["fig2", "fig5", "fig9"])))
+            show = draw(st.booleans())  # a preset that runs must have no seeds: its runs are not tiny
+            argv += ["--show-config"] * show + ["--seeds", str(draw(st.integers(-3, 20 if show else 0)))]
+        if command == "gen-data" and draw(st.booleans()):
+            argv.append("--binary")
+        flags = list(required) + [flag for flag in sorted(optional) if draw(st.booleans())]
+        for flag in draw(st.permutations(flags)):
+            usual = required.get(flag, optional.get(flag))
+            value = draw(usual if draw(st.integers(0, 4)) else ints | floats | junk)  # one in five is wild
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        return argv
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @example(argv=["gen-data", "--classes", "2", "--per-class", "4", "--sep", "nan", "--out", "ds.json"])
+    @example(argv=["gen-data", "--classes", "2", "--per-class", "4", "--seed", "-1", "--out", "ds.json"])
+    @example(argv=["gen-data", "--classes", "2", "--per-class", "4", "--binary", "--out", ""])
+    @example(argv=["gen-graph", "--kind", "caveman", "--nodes", "12", "--seed", "-5"])
+    @example(argv=["run", "--config", "config.json", "--seed", "-1", "--out", "out"])
+    @given(argv=argvs())
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 1), argv
+        if code == 1:
+            assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "message"}, argv
+        elif argv[0] == "gen-data":
+            assert np.isfinite(load_dataset(build_parser().parse_args(argv).out).features).all()
+
+    with contextlib.chdir(tmp_path):
+        check()
 
 
 class TestUsage:

@@ -10,6 +10,7 @@ from xlwalk.datahub import (
     save_dataset,
 )
 from xlwalk.errors import ConfigError
+from xlwalk.experiment import DataSpec
 from xlwalk.learner import LearnerSpec, evaluate, init_model, sgd_steps
 from xlwalk.topology import gen_connected_caveman, gen_rgg
 
@@ -54,6 +55,13 @@ class TestSynthetic:
         mean0 = tiny.features[tiny.labels == 0].mean(axis=0)
         mean1 = tiny.features[tiny.labels == 1].mean(axis=0)
         assert np.linalg.norm(mean0 - mean1) > 5.0
+
+    @pytest.mark.parametrize("sep", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+    def test_non_finite_separation_rejected(self, sep):
+        with pytest.raises(ConfigError, match="sep must be a finite number"):
+            gen_synthetic(2, 2, 2, 0.5, sep, seed=0)
+        with pytest.raises(ConfigError, match="sep must be a finite number"):
+            DataSpec(sep=sep)
 
     def test_zero_separation_unlearnable(self):
         flat = gen_synthetic(10, 8, 100, 0.2, 0.0, seed=3)

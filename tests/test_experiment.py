@@ -109,6 +109,8 @@ SPEC_RULES = [
     ({"elastic": {"tau1": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
     ({"elastic": {"tau2": -1.0}}, "elastic tau1 and tau2 must be non-negative"),
     ({"seeds": [0, 0]}, "seeds must not repeat, got [0, 0]"),
+    ({"seeds": [3, -1]}, "seeds must be non-negative, got [3, -1]"),
+    ({"data": {"sep": float("nan")}}, "config.data.sep must be a finite number"),
 ]
 
 
@@ -545,13 +547,14 @@ class TestDynamicModeWork:
         sampled = []
         real_step = walker.step
 
-        def spy(w, pol, rng):
+        def spy(w):
             accuracy = learner.evaluate(w.im, env.val_features, env.val_labels)[1]
             # copies: the next refresh rewrites the rows that pol.row views
+            pol = w.policy
             lo, hi = pol.indptr[w.position], pol.indptr[w.position + 1]
             rows = (*pol.row(w.position), pol.cdf[lo:hi])
             sampled.append((w.position, accuracy, [a.copy() for a in rows]))
-            return real_step(w, pol, rng)
+            return real_step(w)
 
         monkeypatch.setattr(walker, "step", spy)
         simulate(env, cfg, seed=0)

@@ -60,15 +60,15 @@ def pursuits_symmetric(s) -> bool:
 
 
 @SETTINGS
-@given(data=st.data(), memory_enabled=st.booleans(), t=st.integers(200, 400), cooldown=st.integers(0, 6))
-def test_collide_is_a_group_average(data, memory_enabled, t, cooldown):
+@given(data=st.data(), t=st.integers(200, 400), cooldown=st.integers(0, 6))
+def test_collide_is_a_group_average(data, t, cooldown):
     s = data.draw(swarms(min_size=2))
     group = sorted(data.draw(st.sets(st.integers(0, s.size - 1), min_size=2)))
     records = list(s.walkers)
     before = [copy.copy(w) for w in s.walkers]  # collide updates the records in place
     met_at, inert_until = s.met_at.copy(), s.inert_until.copy()
 
-    weights = collide(s, group, t, memory_enabled, cooldown)
+    weights = collide(s, group, t, cooldown)
 
     assert weights == [before[r].samples_since_agg + 1 for r in group]
     merged = s.walkers[group[0]].im
@@ -78,8 +78,7 @@ def test_collide_is_a_group_average(data, memory_enabled, t, cooldown):
     assert np.all(merged.theta >= lo - slack) and np.all(merged.theta <= hi + slack)
     for r in group:
         w = s.walkers[r]
-        assert w.im is merged
-        assert w.sm is (merged if memory_enabled else before[r].sm)
+        assert w.im is w.sm is merged
         assert w.samples_since_agg == 0
         assert (w.id, w.position) == (before[r].id, before[r].position)
     members = np.zeros(s.size, dtype=bool)
@@ -155,7 +154,7 @@ def unit(lo: float = 0.0, hi: float = 1.0, **kwargs):
 
 
 # Bounds that a generated config may push past its limit; loading must reject each of them.
-PAST = ("dims", "labels", "skew_frac", "dominance", "cliques", "clique_options", "node", "every", "tau")
+PAST = ("dims", "labels", "skew_frac", "dominance", "cliques", "clique_options", "node", "every", "tau", "seed")
 
 
 @st.composite
@@ -208,7 +207,7 @@ def config_docs(draw):
         "uplink": draw(st.booleans()),
         "jumps": draw(st.integers(1, 3)),
         "eval_every": draw(st.integers(1, 3)),
-        "seeds": [draw(st.integers(0, 3))],
+        "seeds": [pick("seed", st.integers(0, 3), st.integers(-3, -1))],
     }
 
 

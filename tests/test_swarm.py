@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,15 +162,22 @@ class TestCollide:
 
     def test_memory_sync(self):
         s = make_swarm([1.0, 5.0])
-        collide(s, [0, 1], 1, memory_enabled=True)
+        collide(s, [0, 1], 1)
         assert np.array_equal(s.walkers[0].sm.theta, s.walkers[0].im.theta)
+        assert all(w.sm is w.im for w in s.walkers)
 
-    def test_sm_untouched_without_memory(self):
-        s = make_swarm([1.0, 5.0])
-        sm_before = [w.sm.theta.copy() for w in s.walkers]
-        collide(s, [0, 1], 1, memory_enabled=False)
-        for w, old in zip(s.walkers, sm_before):
-            assert np.array_equal(w.sm.theta, old)
+    def test_sm_takes_the_merged_model(self):
+        """Every merge also sets the stale model, which only memory merges read: a run
+        without memory never reads it, and a run with memory resynchronizes on it."""
+        s = make_swarm([1.0, 5.0, 9.0])
+        for w in s.walkers:
+            w.sm = replace(w.sm, theta=w.sm.theta + 100.0)
+        untouched = s.walkers[2].sm
+        collide(s, [0, 1], 1)
+        merged = s.walkers[0].im
+        assert merged.theta[0] == 3.0
+        assert s.walkers[0].sm is s.walkers[1].sm is merged
+        assert s.walkers[2].sm is untouched and untouched.theta[0] == 109.0
 
     def test_group_of_one_is_noop(self):
         s = make_swarm([1.0], samples=[10])
@@ -273,10 +281,9 @@ class TestCliqueConfined:
         from xlwalk.walker import step
 
         m = init_model("softmax", 2, 2, seed=0)
-        w = WalkerState(id=0, position=g.clique_members(3)[0], im=m, sm=m)
-        rng = np.random.default_rng(5)
+        w = WalkerState(id=0, position=g.clique_members(3)[0], im=m, sm=m, rng=np.random.default_rng(5), policy=pol)
         for _ in range(200):
-            step(w, pol, rng)
+            step(w)
             assert g.clique_of[w.position] == 3
 
     def test_requires_cliques(self):

@@ -150,7 +150,33 @@ class TestCaveman:
             gen_connected_caveman(cliques, nodes, 0)
 
 
+def reference_gen_rgg(n_nodes, radius, seed, max_retries=100):
+    """gen_rgg as first written: its edge set from a Python loop over every pair i < j."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x11, seed]))
+    for _ in range(max_retries):
+        pos = rng.random((n_nodes, 2))
+        diff = pos[:, None, :] - pos[None, :, :]
+        within = (diff ** 2).sum(axis=2) <= radius * radius
+        edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes) if within[i, j]]
+        g = replace(graph_from_edges(n_nodes, edges), positions=tuple((float(x), float(y)) for x, y in pos))
+        if is_connected(g):
+            return g
+    return None
+
+
 class TestRgg:
+    @pytest.mark.parametrize("n", [2, 5, 40, 100, 150, 300])
+    def test_equals_the_pairwise_loop(self, n):
+        for seed in range(5):
+            want = reference_gen_rgg(n, default_rgg_radius(n), seed)
+            if want is None:
+                with pytest.raises(GenerationError):
+                    gen_rgg(n, default_rgg_radius(n), seed)
+                continue
+            g = gen_rgg(n, default_rgg_radius(n), seed)
+            assert g == want
+            assert all(type(j) is int for adj in g.adjacency for j in adj)
+
     def test_edges_match_distances_exactly(self):
         g = gen_rgg(60, 0.2, 5)
         pos = np.array(g.positions)

@@ -13,6 +13,7 @@ from xlwalk.policy import (
     importance_vector,
     mh_transition,
     uniform_transition,
+    validate_policy,
 )
 from xlwalk.swarm import clique_confined_policy
 from xlwalk.topology import betweenness, gen_connected_caveman, gen_rgg
@@ -43,9 +44,9 @@ def scalar_model(value):
     return ModelParams("softmax", 0, 1, 0, np.array([float(value)]))
 
 
-def fresh_walker(position=0, dims=4, classes=3, seed=0):
+def fresh_walker(position=0, dims=4, classes=3, seed=0, **fields):
     m = init_model("softmax", dims, classes, seed=seed)
-    return WalkerState(id=0, position=position, im=m, sm=m)
+    return WalkerState(id=0, position=position, im=m, sm=m, **fields)
 
 
 class TestStep:
@@ -53,9 +54,9 @@ class TestStep:
         pol = TransitionPolicy.from_rows(
             "uniform", [(np.array([1]), np.array([1.0])), (np.array([0]), np.array([1.0]))]
         )
-        w = fresh_walker(position=0)
+        w = fresh_walker(position=0, rng=FixedRng(0.999), policy=pol)
         before = dict(vars(w))
-        step(w, pol, FixedRng(0.999))
+        step(w)
         assert w.position == 1
         assert vars(w) == dict(before, position=1)  # a step moves the walker and writes nothing else
 
@@ -64,8 +65,8 @@ class TestStep:
         # boundary 0.5 in the second
         pol = TransitionPolicy.from_rows("uniform", [(np.array([1, 2]), np.array([0.5, 0.5]))])
         for u, position in [(0.3, 1), (0.5, 2), (0.7, 2)]:
-            w = fresh_walker(0)
-            step(w, pol, FixedRng(u))
+            w = fresh_walker(0, rng=FixedRng(u), policy=pol)
+            step(w)
             assert w.position == position
 
     def test_draw_past_a_rounded_cdf_stays_in_its_row(self):
@@ -75,18 +76,16 @@ class TestStep:
         )
         u = np.nextafter(1.0, 0.0)
         assert pol.row(0)[1].cumsum()[-1] <= u
-        w = fresh_walker(0)
-        step(w, pol, FixedRng(u))
+        w = fresh_walker(0, rng=FixedRng(u), policy=pol)
+        step(w)
         assert w.position == 10
 
     def test_visit_frequencies_on_triangle(self):
         g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        pol = uniform_transition(g)
-        rng = np.random.default_rng(123)
-        w = fresh_walker(0)
+        w = fresh_walker(0, rng=np.random.default_rng(123), policy=uniform_transition(g))
         counts = np.zeros(3)
         for _ in range(100_000):
-            step(w, pol, rng)
+            step(w)
             counts[w.position] += 1
         freqs = counts / counts.sum()
         assert np.abs(freqs - 1 / 3).max() < 0.01
@@ -94,27 +93,29 @@ class TestStep:
 
 class TestVisit:
     def test_empty_node_is_noop(self):
-        w = fresh_walker()
-        im = w.im
-        visit(w, np.empty((0, 4)), np.empty(0, dtype=int), 5, LearnerSpec(), np.random.default_rng(0))
-        assert w.im is im and w.samples_since_agg == 0
+        w = fresh_walker(rng=np.random.default_rng(0))
+        im, state = w.im, w.rng.bit_generator.state
+        visit(w, np.empty((0, 4)), np.empty(0, dtype=int), 5, LearnerSpec())
+        assert w.im is im and w.samples_since_agg == 0 and w.cum_iters == 0
+        assert w.rng.bit_generator.state == state  # no draw from the walker's stream
 
     def test_counters_track_samples(self):
-        w = fresh_walker()
+        w = fresh_walker(rng=np.random.default_rng(1))
         before = fresh_walker()
         x = np.random.default_rng(0).normal(size=(30, 4))
         y = np.zeros(30, dtype=int)
-        visit(w, x, y, 5, LearnerSpec(batch_size=32), np.random.default_rng(1))
+        visit(w, x, y, 5, LearnerSpec(batch_size=32))
         assert w.samples_since_agg == 160
+        assert w.cum_iters == 5
         assert not np.array_equal(w.im.theta, before.im.theta)
         assert np.array_equal(w.sm.theta, before.sm.theta)  # only the IM trains
 
     def test_zero_learning_rate_changes_nothing(self):
-        w = fresh_walker()
+        w = fresh_walker(rng=np.random.default_rng(1))
         before = w.im
         x = np.random.default_rng(0).normal(size=(30, 4))
         y = np.zeros(30, dtype=int)
-        visit(w, x, y, 17, LearnerSpec(learning_rate=0.0), np.random.default_rng(1))
+        visit(w, x, y, 17, LearnerSpec(learning_rate=0.0))
         assert np.array_equal(w.im.theta, before.theta)
 
 
@@ -138,15 +139,8 @@ class TestMemoryMerge:
         assert out.sm.theta[0] == 2.0
 
     def test_models_identical_after_merge(self):
-        trained = fresh_walker()
-        visit(
-            trained,
-            np.random.default_rng(0).normal(size=(20, 4)),
-            np.zeros(20, dtype=int),
-            3,
-            LearnerSpec(),
-            np.random.default_rng(2),
-        )
+        trained = fresh_walker(rng=np.random.default_rng(2))
+        visit(trained, np.random.default_rng(0).normal(size=(20, 4)), np.zeros(20, dtype=int), 3, LearnerSpec())
         out = memory_merge(trained, 0.3)
         assert np.array_equal(out.im.theta, out.sm.theta)
 
@@ -184,6 +178,12 @@ def world():
     return g, d, l, c, val_x, val_y
 
 
+def refreshed_row(w, *args):
+    """Refresh the walker's row at its position; return copies of the row's targets and probabilities."""
+    perception_refresh(w, *args)
+    return tuple(a.copy() for a in w.policy.row(w.position))
+
+
 class TestPerception:
 
     # perception_refresh builds only the row at the walker's position, so each
@@ -197,19 +197,32 @@ class TestPerception:
                 g, importance_vector(d, l, c, alpha, True), kind=IMPORTANCE_STATIC
             )
             for i in range(g.node_count):
-                out = fresh_walker(position=i)
-                targets, probs = perception_refresh(out, acc, params, d, l, c, g)
+                out = fresh_walker(position=i, policy=uniform_transition(g))
+                targets, probs = refreshed_row(out, acc, params, d, l, c, g)
                 assert out.alpha == accuracy_scaled_alpha(acc, params)
                 assert np.array_equal(targets, static.row(i)[0])
                 assert np.allclose(probs, static.row(i)[1], atol=1e-15)
 
+    def test_confined_row_is_cut_to_the_current_clique(self, world):
+        g, d, l, c, val_x, val_y = world
+        alpha = accuracy_scaled_alpha(0.42, PolicySpec())
+        want = clique_confined_policy(g, build_transition(g, importance_vector(d, l, c, alpha, True)))
+        for i in range(g.node_count):
+            for home in range(g.n_cliques):  # a walker away from home walks the clique it is in
+                pol = clique_confined_policy(g, uniform_transition(g))
+                w = fresh_walker(position=i, policy=pol, home_clique=home)
+                targets, probs = refreshed_row(w, 0.42, PolicySpec(), d, l, c, g)
+                assert np.array_equal(targets, want.row(i)[0])
+                assert np.allclose(probs, want.row(i)[1], atol=1e-15)
+                validate_policy(pol, g)
+
     def test_equal_accuracy_gives_identical_policies(self, world):
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
-            w = fresh_walker(position=i)
+            w = fresh_walker(position=i, policy=uniform_transition(g))
             acc = evaluate(w.im, val_x, val_y)[1]
-            targets_a, probs_a = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
-            targets_b, probs_b = perception_refresh(w, acc, PolicySpec(), d, l, c, g)
+            targets_a, probs_a = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
+            targets_b, probs_b = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
             assert np.array_equal(targets_a, targets_b)
             assert np.array_equal(probs_a, probs_b)
 
@@ -217,14 +230,15 @@ class TestPerception:
         g, d, l, c, val_x, val_y = world
         # negative data shares and zero centrality give every node negative importance
         for i in range(g.node_count):
+            w = fresh_walker(position=i, policy=uniform_transition(g))
             with pytest.raises(ConfigError, match="importance values must be non-negative"):
-                perception_refresh(fresh_walker(position=i), 0.5, PolicySpec(), -d, l, 0 * c, g)
+                perception_refresh(w, 0.5, PolicySpec(), -d, l, 0 * c, g)
 
     def test_zero_importance_row_warns(self, world, caplog):
         g, d, l, c, val_x, val_y = world
         with caplog.at_level("WARNING", logger="xlwalk.walker"):
-            targets, probs = perception_refresh(
-                fresh_walker(position=3), 0.5, PolicySpec(), 0 * d, l, 0 * c, g
+            targets, probs = refreshed_row(
+                fresh_walker(position=3, policy=uniform_transition(g)), 0.5, PolicySpec(), 0 * d, l, 0 * c, g
             )
         assert np.allclose(probs, 1.0 / targets.size)
         assert [r.getMessage() for r in caplog.records] == [
@@ -234,8 +248,8 @@ class TestPerception:
     def test_constant_stub_degenerates_to_static(self, world):
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
-            w = fresh_walker(position=i)
-            rows = [perception_refresh(w, 0.42, PolicySpec(), d, l, c, g) for _ in range(3)]
+            w = fresh_walker(position=i, policy=uniform_transition(g))
+            rows = [refreshed_row(w, 0.42, PolicySpec(), d, l, c, g) for _ in range(3)]
             for targets, probs in rows[1:]:
                 assert np.array_equal(targets, rows[0][0])
                 assert np.array_equal(probs, rows[0][1])
@@ -252,8 +266,9 @@ class TestPerception:
         monkeypatch.setattr(policy, "transition_row", counted)
         pol = uniform_transition(g)
         probs_before, cdf_before = pol.probs.copy(), pol.cdf.copy()
-        targets, probs = perception_refresh(fresh_walker(position=3), 0.42, PolicySpec(), d, l, c, g)
-        pol.set_row(3, probs)
+        perception_refresh(fresh_walker(position=3, policy=pol), 0.42, PolicySpec(), d, l, c, g)
+        imp = importance_vector(d, l, c, accuracy_scaled_alpha(0.42, PolicySpec()), True)
+        targets, probs, _ = real(g, imp, 3)
         assert built == [3]
         lo, hi = pol.indptr[3], pol.indptr[4]
         others = np.r_[0:lo, hi:pol.probs.size]
@@ -271,8 +286,9 @@ class TestPerception:
         garbage = ModelParams("softmax", 4, 3, 0, np.full(15, 999.0))
         w2 = WalkerState(id=0, position=0, im=w1.im, sm=garbage)
         for seed in range(5):
-            visit(w1, x, y, 4, LearnerSpec(), np.random.default_rng(seed))
-            visit(w2, x, y, 4, LearnerSpec(), np.random.default_rng(seed))
+            w1.rng, w2.rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            visit(w1, x, y, 4, LearnerSpec())
+            visit(w2, x, y, 4, LearnerSpec())
         assert np.array_equal(w1.im.theta, w2.im.theta)
 
 
@@ -332,11 +348,10 @@ class TestChainLaw:
         assert gap > 0.0
 
         start = int(np.argmax(pi))
-        w = fresh_walker(position=nodes[start])
-        rng = np.random.default_rng(11)
+        w = fresh_walker(position=nodes[start], rng=np.random.default_rng(11), policy=pol)
         visits = np.zeros(max(nodes) + 1)
         for _ in range(self.STEPS):
-            step(w, pol, rng)
+            step(w)
             visits[w.position] += 1
         assert visits[nodes].sum() == self.STEPS  # the walk never left its nodes
         freq = visits[nodes] / self.STEPS
