@@ -46,11 +46,13 @@ def _write_outputs(results: list[RunResult], out_dir: Path) -> None:
 def _cmd_gen_graph(args) -> int:
     spec = GraphSpec(kind=args.kind, nodes=args.nodes, cliques=args.cliques,
                      radius=args.radius, max_retries=args.max_retries)
+    if args.out is not None and not Path(args.out).name:
+        raise ConfigError(f"graph path {str(Path(args.out))!r} names no file")
     text = topology.graph_to_json(build_graph(spec, args.seed))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if args.out is None:
         print(text)
+    else:
+        Path(args.out).write_text(text)
     return 0
 
 

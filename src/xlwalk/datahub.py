@@ -78,7 +78,8 @@ def gen_synthetic(
         direction = rng.normal(size=n_dims)
         center = direction / np.linalg.norm(direction) * sep
         block = slice(k * per_class, (k + 1) * per_class)
-        features[block] = center + rng.normal(size=(per_class, n_dims))
+        rng.standard_normal(out=features[block])  # the draws and bits of center + rng.normal(size=...)
+        features[block] += center
         labels[block] = k
         chosen = rng.choice(per_class, size=val_per_class, replace=False)
         mask = np.zeros(per_class, dtype=bool)
@@ -95,12 +96,6 @@ def gen_synthetic(
     )
 
 
-def node_view(ds: Dataset, part: Partition, node: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feature/label arrays for one node's local samples."""
-    idx = part.assignment[node]
-    return ds.features[idx], ds.labels[idx]
-
-
 def _balanced_counts(n_train: int, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
     """Per-node sample counts differing by at most one, extras placed at random."""
     base, extra = divmod(n_train, n_nodes)
@@ -111,41 +106,38 @@ def _balanced_counts(n_train: int, n_nodes: int, rng: np.random.Generator) -> np
 
 
 class _LabelPools:
-    """Mutable per-label pools of unassigned train indices, drained by draws."""
+    """Per-label pools of unassigned train indices, each shuffled once and drained from its end
+    into `owner`, the node that holds each sample (n_nodes for none)."""
 
-    def __init__(self, ds: Dataset, rng: np.random.Generator):
+    def __init__(self, ds: Dataset, rng: np.random.Generator, n_nodes: int):
         self.rng = rng
-        self.pools: list[list[int]] = []
         train_labels = ds.labels[ds.train_indices]
-        for k in range(ds.n_classes):
-            pool = ds.train_indices[train_labels == k].tolist()
-            self.rng.shuffle(pool)
-            self.pools.append(pool)
+        self.pools = [ds.train_indices[train_labels == k] for k in range(ds.n_classes)]
+        for pool in self.pools:
+            rng.shuffle(pool)  # the order and stream state of shuffling pool.tolist()
+        self.ends = [len(pool) for pool in self.pools]  # pool k still holds pools[k][:ends[k]]
+        self.owner = np.full(ds.n_samples, n_nodes, dtype=np.min_scalar_type(n_nodes))
 
     def remaining(self, labels: list[int]) -> int:
-        return sum(len(self.pools[k]) for k in labels)
+        return sum(self.ends[k] for k in labels)
 
-    def draw(self, labels: list[int], count: int) -> list[int]:
-        """Draw uniformly without replacement from the union of the given pools."""
-        sizes = [len(self.pools[k]) for k in labels]
-        total = sum(sizes)
-        if count > total:
+    def draw(self, labels: list[int], count: int, node: int) -> None:
+        """Give `node` `count` indices drawn uniformly without replacement from the union of the given pools."""
+        sizes = [self.ends[k] for k in labels]
+        if count > sum(sizes):
             raise ValueError("draw exceeds pool")
-        if total == 0 or count == 0:
-            return []
-        per_pool = self.rng.multivariate_hypergeometric(sizes, count)
-        out: list[int] = []
+        if count == 0:
+            return
+        # one colour takes everything and draws nothing, so the shortcut leaves the stream where it was
+        per_pool = [count] if len(labels) == 1 else self.rng.multivariate_hypergeometric(sizes, count).tolist()
         for k, take in zip(labels, per_pool):
-            if take:
-                pool = self.pools[k]
-                out.extend(pool[-take:])
-                del pool[-take:]
-        return out
+            self.ends[k] -= take
+            self.owner[self.pools[k][self.ends[k]:self.ends[k] + take]] = node
 
-    def draw_with_fallback(self, labels: list[int], count: int, node: int) -> list[int]:
+    def draw_with_fallback(self, labels: list[int], count: int, node: int) -> None:
         """Draw from the preferred pools, topping up from the rest when exhausted."""
         take = min(count, self.remaining(labels))
-        out = self.draw(labels, take)
+        self.draw(labels, take, node)
         short = count - take
         if short:
             others = [k for k in range(len(self.pools)) if k not in labels]
@@ -153,8 +145,7 @@ class _LabelPools:
                 "node %d: %d sample(s) substituted from other labels (preferred %s exhausted)",
                 node, short, labels,
             )
-            out.extend(self.draw(others, short))
-        return out
+            self.draw(others, short, node)
 
 
 def check_label_skew(skew_frac: float, labels_lo: int, labels_hi: int, n_classes: int) -> None:
@@ -171,14 +162,19 @@ def check_clique_dominant(dominance: float, n_cliques: int, n_classes: int) -> N
         raise ConfigError(f"{n_cliques} cliques need at most {n_classes} classes to dominate")
 
 
-def _finish_partition(ds: Dataset, per_node: list[list[int]]) -> Partition:
-    n_train = len(ds.train_indices)
-    assignment = tuple(np.array(sorted(ix), dtype=np.int64) for ix in per_node)
-    data_frac = np.array([len(ix) / n_train for ix in assignment])
-    label_frac = np.array(
-        [len(np.unique(ds.labels[ix])) / ds.n_classes if len(ix) else 0.0 for ix in assignment]
+def _finish_partition(ds: Dataset, owner: np.ndarray, n: int) -> Partition:
+    """Each of the n nodes' samples as one ascending index array, with its data and label fractions."""
+    # stable keeps the sample ids of each node ascending; on 8- and 16-bit owners it is a radix sort
+    by_node = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=n + 1)[:n]
+    ends = np.cumsum(sizes).tolist()
+    present = np.zeros((n + 1, ds.n_classes), dtype=bool)  # the (owner, label) pairs that occur
+    present[owner, ds.labels] = True
+    return Partition(
+        assignment=tuple(by_node[a:b] for a, b in zip([0] + ends, ends)),
+        data_frac=sizes / len(ds.train_indices),
+        label_frac=present[:n].sum(axis=1) / ds.n_classes,
     )
-    return Partition(assignment=assignment, data_frac=data_frac, label_frac=label_frac)
 
 
 def partition_label_skew(
@@ -202,18 +198,17 @@ def partition_label_skew(
     counts = _balanced_counts(len(ds.train_indices), n, rng)
     n_skew = int(np.floor(skew_frac * n))
     skewed = set(rng.choice(n, size=n_skew, replace=False).tolist())
-    pools = _LabelPools(ds, rng)
+    pools = _LabelPools(ds, rng, n)
     all_labels = list(range(ds.n_classes))
-    per_node: list[list[int]] = [[] for _ in range(n)]
     for node in range(n):
         if node in skewed:
             k = int(rng.integers(labels_lo, labels_hi + 1))
             wanted = sorted(rng.choice(ds.n_classes, size=k, replace=False).tolist())
-            per_node[node] = pools.draw_with_fallback(wanted, int(counts[node]), node)
+            pools.draw_with_fallback(wanted, int(counts[node]), node)
     for node in range(n):
         if node not in skewed:
-            per_node[node] = pools.draw(all_labels, int(counts[node]))
-    return _finish_partition(ds, per_node)
+            pools.draw(all_labels, int(counts[node]), node)
+    return _finish_partition(ds, pools.owner, n)
 
 
 def partition_clique_dominant(
@@ -236,13 +231,12 @@ def partition_clique_dominant(
     rng = np.random.default_rng(np.random.SeedSequence([0x22, seed]))
     n = g.node_count
     counts = _balanced_counts(len(ds.train_indices), n, rng)
-    pools = _LabelPools(ds, rng)
-    per_node: list[list[int]] = [[] for _ in range(n)]
+    pools = _LabelPools(ds, rng, n)
     for c in range(g.n_cliques):
         members = g.clique_members(c)
         label = c % ds.n_classes
         want = {i: int(round(dominance * counts[i])) for i in members}
-        available = len(pools.pools[label])
+        available = pools.remaining([label])
         total_want = sum(want.values())
         if total_want > available:
             logger.info(
@@ -259,15 +253,16 @@ def partition_clique_dominant(
                     leftover -= 1
             want = shares
         for i in members:
-            per_node[i] = pools.draw([label], want[i])
+            pools.draw([label], want[i], i)
     if dominance < 1.0:
+        held = np.bincount(pools.owner, minlength=n + 1)
         for node in range(n):
-            rest = int(counts[node]) - len(per_node[node])
+            rest = int(counts[node] - held[node])
             if rest > 0:
                 dominant = g.clique_of[node] % ds.n_classes
                 others = [k for k in range(ds.n_classes) if k != dominant]
-                per_node[node].extend(pools.draw_with_fallback(others, rest, node))
-    return _finish_partition(ds, per_node)
+                pools.draw_with_fallback(others, rest, node)
+    return _finish_partition(ds, pools.owner, n)
 
 
 def save_dataset(ds: Dataset, path: str | Path, binary_features: bool = False) -> None:
@@ -282,15 +277,26 @@ def save_dataset(ds: Dataset, path: str | Path, binary_features: bool = False) -
         "train_indices": ds.train_indices.tolist(),
         "val_indices": ds.val_indices.tolist(),
     }
+    bin_path = path.with_suffix(".features.bin")
     if binary_features:
-        bin_path = path.with_suffix(".features.bin")
-        ds.features.astype("<f4").tofile(bin_path)
-        doc["features_file"] = bin_path.name
-        doc["features_shape"] = list(ds.features.shape)
-        doc["features_dtype"] = "<f4"
+        doc.update(features_file=bin_path.name, features_shape=list(ds.features.shape), features_dtype="<f4")
     else:
         doc["features"] = ds.features.tolist()
-    path.write_text(json.dumps(doc))
+    # Temporary names beside the targets, renamed with the JSON last: a JSON always finds its sidecar.
+    targets = [bin_path, path] if binary_features else [path]
+    temps = [target.with_name(target.name + ".tmp") for target in targets]
+    renamed = []
+    try:
+        if binary_features:
+            ds.features.astype("<f4").tofile(temps[0])
+        temps[-1].write_text(json.dumps(doc))
+        for temp, target in zip(temps, targets):
+            temp.replace(target)
+            renamed.append(target)
+    except BaseException:
+        for written in temps + renamed:
+            written.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(path: str | Path) -> Dataset:

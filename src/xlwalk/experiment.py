@@ -273,12 +273,14 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
         )
     else:
         part = datahub.partition_clique_dominant(ds, g, pspec.dominance, seed)
-    views = [datahub.node_view(ds, part, node) for node in range(g.node_count)]
+    held = np.concatenate(part.assignment)  # one gather in node order; each node's arrays are slices of it
+    features, labels = ds.features[held], ds.labels[held]
+    ends = np.cumsum([len(ix) for ix in part.assignment]).tolist()
     return Environment(
         graph=g,
         partition=part,
-        node_features=[x for x, _ in views],
-        node_labels=[y for _, y in views],
+        node_features=[features[a:b] for a, b in zip([0] + ends, ends)],
+        node_labels=[labels[a:b] for a, b in zip([0] + ends, ends)],
         val_features=ds.features[ds.val_indices],
         val_labels=ds.labels[ds.val_indices],
         key=_world_key(cfg, seed),

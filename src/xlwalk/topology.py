@@ -77,6 +77,15 @@ def is_connected(g: Graph) -> bool:
     return len(_bfs_shortest_paths(g, 0)[3]) == g.node_count
 
 
+def _adjacency_connected(adjacent: np.ndarray) -> bool:
+    """Whether a boolean adjacency matrix is connected: frontier expansion from node 0."""
+    reached = frontier = np.arange(len(adjacent)) == 0
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
+
+
 def check_caveman(n_cliques: int, n_nodes: int) -> None:
     if n_cliques < 1 or n_nodes < 2 * n_cliques:
         raise ConfigError(
@@ -142,21 +151,22 @@ def check_rgg(n_nodes: int, radius: float | None, max_retries: int) -> None:
 def gen_rgg(n_nodes: int, radius: float, seed: int, max_retries: int = 100) -> Graph:
     """Random geometric graph in the unit square; resamples until connected.
 
-    Radii of sqrt(2) or more trivially connect everything.
+    Radii of sqrt(2) or more trivially connect everything. Connectivity is
+    tested on the within-radius matrix: only the accepted draw becomes a `Graph`.
     """
     check_rgg(n_nodes, radius, max_retries)
     rng = np.random.default_rng(np.random.SeedSequence([0x11, seed]))
     r2 = radius * radius
     for _ in range(max_retries):
         pos = rng.random((n_nodes, 2))
-        diff = pos[:, None, :] - pos[None, :, :]
-        within = (diff ** 2).sum(axis=2) <= r2
-        rows, cols = np.nonzero(np.triu(within, 1))  # each pair i < j once
-        g = _build_graph(
-            n_nodes, zip(rows.tolist(), cols.tolist()), positions=tuple((float(x), float(y)) for x, y in pos)
-        )
-        if is_connected(g):
-            return g
+        dx, dy = (c[:, None] - c for c in pos.T)  # each an (n, n) table of coordinate differences
+        within = np.square(dx, out=dx) + np.square(dy, out=dy) <= r2  # the bits of summing squared differences
+        np.fill_diagonal(within, False)
+        if _adjacency_connected(within):
+            cols = np.nonzero(within)[1].tolist()  # row by row, each row ascending
+            ends = np.cumsum(np.count_nonzero(within, axis=1)).tolist()
+            adjacency = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+            return Graph(node_count=n_nodes, adjacency=adjacency, positions=tuple(map(tuple, pos.tolist())))
     raise GenerationError(
         f"no connected geometric graph with radius {radius} in {max_retries} attempts"
     )

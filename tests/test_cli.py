@@ -111,6 +111,15 @@ class TestGenGraph:
         assert out.out == ""
         assert json.loads(out.err) == {"error": "ConfigError", "message": "radius must be positive, got 0.0"}
 
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_out_naming_no_file_exits_one(self, tmp_path, capsys, out):
+        with contextlib.chdir(tmp_path):
+            assert main(["gen-graph", "--kind", "caveman", "--nodes", "30", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ConfigError", "message": "graph path '.' names no file"}
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGenData:
     def test_roundtrip(self, tmp_path):
@@ -141,6 +150,15 @@ class TestGenData:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MemoryError" and err["message"].startswith("Unable to allocate")
         assert not out.exists()
+
+    @pytest.mark.parametrize("binary", [[], ["--binary"]])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, binary):
+        out = tmp_path / "outdir"  # an existing directory: the JSON cannot take its name
+        out.mkdir()
+        assert main(["gen-data", "--classes", "2", "--per-class", "4", *binary, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("sep", ["nan", "inf", "-inf"])
     def test_non_finite_sep_exits_one(self, tmp_path, capsys, sep):
@@ -549,7 +567,8 @@ def test_report_never_ends_in_a_traceback(tmp_path):
 
 def test_every_subcommand_exits_zero_one_or_two(tmp_path):
     """Whatever flags and values each of the six subcommands gets, `main` returns 0 or 1, or argparse
-    exits 2; on 1 the last stderr line is the JSON error, and a dataset `gen-data` writes loads finite.
+    exits 2; on 1 the last stderr line is the JSON error, a dataset `gen-data` writes loads finite, and
+    `gen-graph --out` writes its graph to that file.
 
     Values are small integers, floats with nan and inf, and short strings, so every run stays tiny:
     at most 20 nodes, 20 samples per class, 20 jumps and 3 sweep seeds. Junk strings hold no '.' or
@@ -606,6 +625,7 @@ def test_every_subcommand_exits_zero_one_or_two(tmp_path):
     @example(argv=["gen-data", "--classes", "2", "--per-class", "4", "--seed", "-1", "--out", "ds.json"])
     @example(argv=["gen-data", "--classes", "2", "--per-class", "4", "--binary", "--out", ""])
     @example(argv=["gen-graph", "--kind", "caveman", "--nodes", "12", "--seed", "-5"])
+    @example(argv=["gen-graph", "--kind", "caveman", "--nodes", "30", "--out", ""])
     @example(argv=["run", "--config", "config.json", "--seed", "-1", "--out", "out"])
     @given(argv=argvs())
     def check(argv):
@@ -621,6 +641,8 @@ def test_every_subcommand_exits_zero_one_or_two(tmp_path):
             assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "message"}, argv
         elif argv[0] == "gen-data":
             assert np.isfinite(load_dataset(build_parser().parse_args(argv).out).features).all()
+        elif argv[0] == "gen-graph" and (args := build_parser().parse_args(argv)).out is not None:
+            assert graph_from_json(Path(args.out).read_text()).node_count == args.nodes, argv  # not printed
 
     with contextlib.chdir(tmp_path):
         check()

@@ -4,7 +4,6 @@ import pytest
 from xlwalk.datahub import (
     gen_synthetic,
     load_dataset,
-    node_view,
     partition_clique_dominant,
     partition_label_skew,
     save_dataset,
@@ -208,8 +207,32 @@ class TestSerialization:
         assert back.features.shape == ds.features.shape
         assert np.allclose(back.features, ds.features, atol=1e-5)  # float32 sidecar
 
-    def test_node_view(self, ds, g50):
-        part = partition_label_skew(ds, g50, 0.5, 1, 2, seed=0)
-        x, y = node_view(ds, part, 7)
-        assert x.shape == (len(part.assignment[7]), 32)
-        assert np.array_equal(y, ds.labels[part.assignment[7]])
+
+class TestNumpyCanaries:
+    """World building relies on these numpy behaviours to keep its bytes; a numpy that
+    changes one must fail here, not move the bytes of every world."""
+
+    def test_one_colour_hypergeometric_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        for size, count in [(7, 0), (7, 3), (7, 7), (1, 1), (400, 123)]:
+            assert rng.multivariate_hypergeometric([size], count).tolist() == [count]
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 400])
+    def test_array_shuffle_matches_list_shuffle(self, n):
+        values = np.random.default_rng(n).permutation(10 * n + 1)[:n].astype(np.int64)
+        as_list, as_array = values.tolist(), values.copy()
+        list_rng, array_rng = np.random.default_rng(5), np.random.default_rng(5)
+        list_rng.shuffle(as_list)
+        array_rng.shuffle(as_array)
+        assert as_array.tolist() == as_list
+        assert array_rng.bit_generator.state == list_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(1,), (5, 3), (500, 32)])
+    def test_standard_normal_into_a_block_matches_normal(self, shape):
+        fill_rng, normal_rng = np.random.default_rng(11), np.random.default_rng(11)
+        block = np.empty((2,) + shape)
+        fill_rng.standard_normal(out=block[1])
+        assert block[1].tobytes() == normal_rng.normal(size=shape).tobytes()
+        assert fill_rng.bit_generator.state == normal_rng.bit_generator.state
