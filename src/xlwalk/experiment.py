@@ -275,14 +275,17 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> Environment:
         part = datahub.partition_clique_dominant(ds, g, pspec.dominance, seed)
     held = np.concatenate(part.assignment)  # one gather in node order; each node's arrays are slices of it
     features, labels = ds.features[held], ds.labels[held]
+    val_features, val_labels = ds.features[ds.val_indices], ds.labels[ds.val_indices]
+    for arr in (features, labels, val_features, val_labels):  # the cells of a world share them
+        arr.flags.writeable = False
     ends = np.cumsum([len(ix) for ix in part.assignment]).tolist()
     return Environment(
         graph=g,
         partition=part,
         node_features=[features[a:b] for a, b in zip([0] + ends, ends)],
         node_labels=[labels[a:b] for a, b in zip([0] + ends, ends)],
-        val_features=ds.features[ds.val_indices],
-        val_labels=ds.labels[ds.val_indices],
+        val_features=val_features,
+        val_labels=val_labels,
         key=_world_key(cfg, seed),
     )
 
@@ -317,9 +320,8 @@ def interaction_rng(seed: int) -> np.random.Generator:
 
 
 def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids) -> list[walker.WalkerState]:
-    """The walkers at jump 0. Static walkers share one table; a dynamic walker rewrites rows of its own."""
-    g = env.graph
-    shared = None if cfg.policy.kind == IMPORTANCE_DYNAMIC else _base_policy(env, cfg)
+    """The walkers at jump 0, sharing the run's one table."""
+    g, shared = env.graph, _base_policy(env, cfg)
     walkers = []
     for wid in walker_ids:
         rng = walker_rng(seed, wid)
@@ -332,13 +334,13 @@ def _initial_walkers(env: Environment, cfg: ExperimentConfig, seed: int, walker_
             pos = int(rng.integers(g.node_count))
         home = g.clique_of[pos] if cfg.confine_cliques else None
         walkers.append(walker.WalkerState(id=wid, position=pos, im=im, sm=im, rng=rng, home_clique=home,
-                                          policy=_base_policy(env, cfg) if shared is None else shared))
+                                          policy=shared))
     return walkers
 
 
 def _base_policy(env: Environment, cfg: ExperimentConfig) -> TransitionPolicy:
-    """The run's transition rows, confined to cliques when the config asks. Dynamic rows
-    start uniform: the scoring pass rewrites a walker's row before the walker samples it."""
+    """The run's transition rows, confined to cliques when the config asks. A dynamic run's
+    are uniform, and give only the targets: a walker samples running sums of its own."""
     kind = cfg.policy.kind
     if kind == MH:
         pol = policy.mh_transition(env.graph)
@@ -477,9 +479,9 @@ def score(run: Run, t: int) -> None:
     accuracy; other modes score every eval_every jumps. Walkers that hold the
     same model object, as every member does after a collision until it trains
     again, share one evaluation; models are never written in place. A
-    refresh rewrites only the row at each walker's position, in its own
-    policy: the one row the next movement phase samples (nothing moves a
-    walker in between).
+    refresh computes only the row at each walker's position, which the
+    walker keeps: the one row the next movement phase samples (nothing moves
+    a walker in between).
     """
     cfg, env = run.cfg, run.env
     dynamic = cfg.policy.kind == IMPORTANCE_DYNAMIC
@@ -508,11 +510,14 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
 
     walker_ids defaults to range(cfg.walkers); passing an explicit subset
     reruns just those walkers on their own sub-streams, which is what makes
-    non-interacting multi-walker runs decomposable walker by walker.
+    non-interacting multi-walker runs decomposable walker by walker. The ids
+    must ascend, as walkers move, and each must be a walker of the full run.
     """
     if env.key != _world_key(cfg, seed):
         raise ConfigError("the environment was built for another graph, data, partition or seed")
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
+    if not ids or ids != sorted(set(ids)) or ids[0] < 0 or ids[-1] >= cfg.walkers:
+        raise ConfigError(f"walker_ids must be distinct ascending ids in range({cfg.walkers}), got {ids}")
     run = Run(
         cfg=cfg,
         env=env,

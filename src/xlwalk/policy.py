@@ -9,8 +9,8 @@ rule converts a node quality score into an SGD budget per visit.
 
 Every policy is one `TransitionPolicy`: the chain's transition matrix in
 compressed sparse rows. This module alone reads that layout; other modules
-build policies with `TransitionPolicy.from_rows` and use `row`, `next_node`
-and `set_row`.
+build policies with `TransitionPolicy.from_rows`, read-only so that walkers
+can share them, and use `row` and `next_node`.
 """
 from __future__ import annotations
 
@@ -82,8 +82,8 @@ class TransitionPolicy:
     """Transition rows in compressed sparse rows (CSR).
 
     Row i is the slice indptr[i]:indptr[i+1] of targets (ascending node ids),
-    probs (summing to 1) and cdf (np.cumsum of that row's probs). `row`
-    returns views, which a later `set_row` overwrites: copy them to keep them.
+    probs (summing to 1) and cdf (np.cumsum of that row's probs). Every array
+    is read-only, so the views `row` returns never change.
     """
 
     kind: str
@@ -100,26 +100,25 @@ class TransitionPolicy:
         targets, probs = zip(*rows)
         indptr = np.cumsum([0] + [t.size for t in targets], dtype=np.int64)
         cdf = np.concatenate([np.cumsum(p) for p in probs])
-        targets = np.concatenate(targets).astype(np.int64)
-        return cls(kind, indptr, targets, np.concatenate(probs), cdf)
+        arrays = (indptr, np.concatenate(targets).astype(np.int64), np.concatenate(probs), cdf)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(kind, *arrays)
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.targets[lo:hi], self.probs[lo:hi]
 
-    def next_node(self, node: int, u: float) -> int:
-        """The target of node's row that an inverse-CDF draw u in [0, 1) picks."""
+    def next_node(self, node: int, u: float, cdf: np.ndarray | None = None) -> int:
+        """The target of node's row that an inverse-CDF draw u in [0, 1) picks, over the
+        row's own running sums or over cdf, running sums the caller gives for its targets."""
         lo, hi = self.indptr[node], self.indptr[node + 1]
-        idx = lo + int(np.searchsorted(self.cdf[lo:hi], u, side="right"))
+        if cdf is None:
+            cdf = self.cdf[lo:hi]
+        elif len(cdf) != hi - lo:
+            raise ValueError(f"row {node} has {hi - lo} targets, got {len(cdf)} running sums")
+        idx = lo + int(np.searchsorted(cdf, u, side="right"))
         return int(self.targets[min(idx, hi - 1)])  # guard the u ~ 1.0 edge against rounding
-
-    def set_row(self, node: int, probs: np.ndarray) -> None:
-        """Overwrite node's probabilities over its targets, and their running sums, in place."""
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        if len(probs) != hi - lo:
-            raise ValueError(f"row {node} has {hi - lo} targets, got {len(probs)} probabilities")
-        self.probs[lo:hi] = probs
-        self.cdf[lo:hi] = np.cumsum(probs)
 
 
 def importance_vector(

@@ -7,10 +7,10 @@ the importance mix that its model's last validation accuracy scales, which
 makes the induced chain time-inhomogeneous.
 
 A `WalkerState` is the walker's one mutable record: it carries its own
-stream, transition rows and counters, so `step`, `visit` and
-`perception_refresh` take nothing of the run but the node's data, and
-update the record in place. The models it holds are immutable, so walkers
-can share one.
+stream, the run's read-only transition rows and its counters, so `step`,
+`visit` and `perception_refresh` take nothing of the run but the node's
+data, and update the record in place. The models and rows it holds are
+immutable, so walkers can share them.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ class WalkerState:
     im: ModelParams  # instantaneous model, trained at every visit
     sm: ModelParams  # stale model, blended in by memory merges
     rng: np.random.Generator | None = None  # the walker's own stream: jumps and SGD batches
-    policy: policy.TransitionPolicy | None = None  # the rows `step` samples; a dynamic walker's are its own
+    policy: policy.TransitionPolicy | None = None  # the run's rows, which `step` samples
+    row_cdf: np.ndarray | None = None  # a dynamic walker's running sums over its position's row
     home_clique: int | None = None  # set when walks are confined to the start clique
     samples_since_agg: int = 0
     cum_iters: int = 0  # SGD steps taken so far
@@ -69,7 +70,7 @@ class MemorySpec:
 
 def step(w: WalkerState) -> None:
     """Jump to the next node via one inverse-CDF draw from the walker's stream over its current row."""
-    w.position = w.policy.next_node(w.position, w.rng.random())
+    w.position = w.policy.next_node(w.position, w.rng.random(), w.row_cdf)
 
 
 def visit(w: WalkerState, features: np.ndarray, labels: np.ndarray, iters: int, cfg: LearnerSpec) -> None:
@@ -103,11 +104,11 @@ def perception_refresh(
     centrality: np.ndarray,
     g: Graph,
 ) -> None:
-    """Rewrite the walker's row at its position from its model's validation accuracy.
+    """Recompute the walker's row at its position from its model's validation accuracy.
 
-    That row, cut to the walker's current clique when its walks are confined,
-    is the one row `step` reads before the next refresh. The walker keeps the
-    mixing weight the accuracy gives.
+    The walker keeps that row's running sums, cut to its current clique when
+    its walks are confined: the one row `step` reads before the next refresh.
+    It also keeps the mixing weight the accuracy gives.
     """
     w.alpha = policy.accuracy_scaled_alpha(accuracy, params)
     imp = policy.importance_vector(
@@ -120,4 +121,4 @@ def perception_refresh(
         )
     if w.home_clique is not None:
         targets, probs = policy.confined_row(g, w.position, targets, probs)
-    w.policy.set_row(w.position, probs)
+    w.row_cdf = np.cumsum(probs)

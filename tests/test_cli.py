@@ -420,6 +420,29 @@ def test_preset_artifacts_are_byte_identical(tmp_path, monkeypatch, name, thread
     assert digests == PRESET_DIGESTS[name]
 
 
+# sha256 of the trio from `xlwalk run` on two walkers that merge memory and then average over the
+# uplink every jump. No preset combines the two, so these bytes alone pin their order in PHASES.
+MEMORY_WITH_UPLINK = {**SMALL_CONFIG, "walkers": 2, "jumps": 12, "uplink": True,
+                      "memory": {"enabled": True, "schedule": [[0, 0.3]]}}
+MEMORY_WITH_UPLINK_DIGESTS = (
+    "4e868a7647a15927a7721ef6800133c9b59b768f58067aa4e2dd3764a4fe74b9",
+    "347c4c5b2a142458aee6723ddaf73be6c4e3bde5374e214048694b0217e1bb27",
+    "4aab725d2020d357acac1fd64287580fff370bcb6ca4f422453c87879d22bb02",
+)
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_memory_with_uplink_artifacts_are_byte_identical(tmp_path, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("XLWALK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("XLWALK_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, MEMORY_WITH_UPLINK)), "--out", str(out)]) == 0
+    files = ("events.jsonl", "metrics.csv", "summary.csv")
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == MEMORY_WITH_UPLINK_DIGESTS
+
+
 class TestReport:
     def test_rebuilds_summary(self, tmp_path):
         cfg = write_config(tmp_path)

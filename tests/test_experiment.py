@@ -326,6 +326,14 @@ class TestWorldAtATimeRunner:
         monkeypatch.setattr(experiment, "build_environment", counted)
         return built
 
+    @pytest.mark.parametrize("kind", ["label_skew", "clique_dominant"])
+    def test_a_shared_world_cannot_be_written(self, kind):
+        env = build_environment(small_config(partition=PartitionSpec(kind=kind)), seed=0)
+        arrays = [*env.node_features, *env.node_labels, env.val_features, env.val_labels]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
     def test_each_world_built_once(self, built):
         run_many(world_cells(), threads=1)
         assert len(built) == len(set(built)) == 4
@@ -544,23 +552,34 @@ class TestDynamicModeWork:
         cfg = small_config(policy=PolicySpec(kind=IMPORTANCE_DYNAMIC), walkers=2, jumps=20,
                            eval_every=1, confine_cliques=confine)
         env = build_environment(cfg, seed=0)
-        sampled = []
-        real_step = walker.step
+        computed, refreshed, sampled = [], {}, []  # rows built, the last refresh's row per walker
+        real_step, real_refresh = walker.step, walker.perception_refresh
 
-        def spy(w):
+        def row_spy(real):
+            def spy(*args):
+                out = real(*args)
+                computed.append(out[:2])
+                return out
+            return spy
+
+        def refresh_spy(w, *args):
+            computed.clear()
+            real_refresh(w, *args)
+            refreshed[w.id] = computed[-1]  # the confined cut when confined, else the full row
+
+        def step_spy(w):
             accuracy = learner.evaluate(w.im, env.val_features, env.val_labels)[1]
-            # copies: the next refresh rewrites the rows that pol.row views
-            pol = w.policy
-            lo, hi = pol.indptr[w.position], pol.indptr[w.position + 1]
-            rows = (*pol.row(w.position), pol.cdf[lo:hi])
-            sampled.append((w.position, accuracy, [a.copy() for a in rows]))
+            sampled.append((w.position, accuracy, w.policy.row(w.position)[0], *refreshed[w.id], w.row_cdf))
             return real_step(w)
 
-        monkeypatch.setattr(walker, "step", spy)
+        monkeypatch.setattr(policy, "transition_row", row_spy(policy.transition_row))
+        monkeypatch.setattr(policy, "confined_row", row_spy(policy.confined_row))
+        monkeypatch.setattr(walker, "perception_refresh", refresh_spy)
+        monkeypatch.setattr(walker, "step", step_spy)
         simulate(env, cfg, seed=0)
         assert len(sampled) == 2 * 20
         g, part = env.graph, env.partition
-        for position, accuracy, (targets, probs, cdf) in sampled:
+        for position, accuracy, targets, refreshed_targets, probs, cdf in sampled:
             alpha = policy.accuracy_scaled_alpha(accuracy, PolicySpec())
             imp = policy.importance_vector(
                 part.data_frac, part.label_frac, np.array(env.centrality.normalized), alpha
@@ -570,8 +589,34 @@ class TestDynamicModeWork:
                 full = clique_confined_policy(g, full)
             want_targets, want_probs = full.row(position)
             assert np.array_equal(targets, want_targets)
-            assert np.array_equal(probs, want_probs)
+            assert np.array_equal(refreshed_targets, want_targets)
+            assert probs.tobytes() == want_probs.tobytes()
             assert cdf.tobytes() == np.cumsum(want_probs).tobytes()
+
+
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_a_run_builds_one_table_and_never_writes_it(self, monkeypatch, confine):
+        cfg = small_config(policy=PolicySpec(kind=IMPORTANCE_DYNAMIC), walkers=3, jumps=20,
+                           confine_cliques=confine)
+        env = build_environment(cfg, seed=0)
+        tables, stepped = [], set()
+        real_base, real_step = experiment._base_policy, walker.step
+
+        def base_spy(env, cfg):
+            pol = real_base(env, cfg)
+            tables.append((pol, [a.tobytes() for a in (pol.indptr, pol.targets, pol.probs, pol.cdf)]))
+            return pol
+
+        def step_spy(w):
+            stepped.add(id(w.policy))
+            return real_step(w)
+
+        monkeypatch.setattr(experiment, "_base_policy", base_spy)
+        monkeypatch.setattr(walker, "step", step_spy)
+        simulate(env, cfg, seed=0)
+        [(pol, before)] = tables
+        assert stepped == {id(pol)}
+        assert [a.tobytes() for a in (pol.indptr, pol.targets, pol.probs, pol.cdf)] == before
 
 
 class TestLazyBetweenness:
@@ -734,6 +779,14 @@ class TestNonInteraction:
             solo_rows = [r for r in solo.metrics.rows]
             multi_rows = [r for r in multi.metrics.rows if r[1] == wid]
             assert solo_rows == multi_rows
+
+
+    @pytest.mark.parametrize("walker_ids", [[], [0, 0], [-1], [2], [5, 1], [1, 0]])
+    def test_walker_ids_outside_the_run_are_rejected(self, walker_ids):
+        cfg = small_config(walkers=2, jumps=3)
+        env = build_environment(cfg, seed=0)
+        with pytest.raises(ConfigError, match="walker_ids must be"):
+            simulate(env, cfg, seed=0, walker_ids=walker_ids)
 
 
 class TestSweep:

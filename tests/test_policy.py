@@ -14,6 +14,7 @@ from xlwalk.policy import (
     uniform_transition,
     validate_policy,
 )
+from xlwalk.swarm import clique_confined_policy
 from xlwalk.topology import gen_connected_caveman, gen_rgg
 
 from .test_topology import graph_from_edges, random_connected_graph
@@ -233,3 +234,34 @@ class TestRowInvariants:
             else:
                 pol = build_transition(g, rng.random(g.node_count))
             validate_policy(pol, g, tol=1e-9)
+
+
+class TestReadOnlyTable:
+    """A built table cannot be written, so walkers share one; a caller's running sums must fit the row."""
+
+    @pytest.mark.parametrize("maker", ["uniform", "mh", "importance", "confined"])
+    def test_every_array_is_read_only(self, maker):
+        g = gen_connected_caveman(3, 12, 0)
+        if maker == "mh":
+            pol = mh_transition(g)
+        elif maker == "importance":
+            pol = build_transition(g, np.random.default_rng(0).random(g.node_count))
+        else:
+            pol = uniform_transition(g)
+            if maker == "confined":
+                pol = clique_confined_policy(g, pol)
+        for array in (pol.indptr, pol.targets, pol.probs, pol.cdf, *pol.row(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+
+    def test_next_node_draws_over_the_given_running_sums(self):
+        pol = uniform_transition(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        assert [pol.next_node(0, u) for u in (0.3, 0.5, 0.7)] == [1, 2, 3]
+        cdf = np.cumsum([0.6, 0.3, 0.1])
+        assert [pol.next_node(0, u, cdf) for u in (0.3, 0.5, 0.7, 0.95)] == [1, 1, 2, 3]
+
+    @pytest.mark.parametrize("size", [0, 2, 4])
+    def test_next_node_rejects_running_sums_of_another_length(self, size):
+        pol = uniform_transition(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        with pytest.raises(ValueError, match="row 0 has 3 targets, got %d running sums" % size):
+            pol.next_node(0, 0.5, np.linspace(0.0, 1.0, size))

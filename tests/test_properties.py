@@ -14,7 +14,7 @@ from xlwalk.learner import ModelParams
 from xlwalk.swarm import AttractionSpec, collide, new_swarm, tick_attraction
 from xlwalk.walker import WalkerState, memory_merge
 
-SETTINGS = settings(max_examples=150, deadline=None)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -211,7 +211,7 @@ def config_docs(draw):
     }
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(doc=config_docs())
 def test_a_config_that_loads_runs(doc):
     """Every rule runs at load: a document either fails there or runs to the end."""

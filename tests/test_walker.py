@@ -179,9 +179,9 @@ def world():
 
 
 def refreshed_row(w, *args):
-    """Refresh the walker's row at its position; return copies of the row's targets and probabilities."""
+    """Refresh the walker's row at its position; return the row's targets and the walker's running sums."""
     perception_refresh(w, *args)
-    return tuple(a.copy() for a in w.policy.row(w.position))
+    return w.policy.row(w.position)[0], w.row_cdf
 
 
 class TestPerception:
@@ -196,35 +196,37 @@ class TestPerception:
             static = build_transition(
                 g, importance_vector(d, l, c, alpha, True), kind=IMPORTANCE_STATIC
             )
+            scaled = build_transition(g, importance_vector(d, l, c, accuracy_scaled_alpha(acc, params), True))
             for i in range(g.node_count):
                 out = fresh_walker(position=i, policy=uniform_transition(g))
-                targets, probs = refreshed_row(out, acc, params, d, l, c, g)
+                targets, cdf = refreshed_row(out, acc, params, d, l, c, g)
                 assert out.alpha == accuracy_scaled_alpha(acc, params)
                 assert np.array_equal(targets, static.row(i)[0])
-                assert np.allclose(probs, static.row(i)[1], atol=1e-15)
+                assert np.allclose(np.diff(cdf, prepend=0.0), static.row(i)[1], atol=1e-15)
+                assert cdf.tobytes() == scaled.cdf[scaled.indptr[i]:scaled.indptr[i + 1]].tobytes()
 
     def test_confined_row_is_cut_to_the_current_clique(self, world):
         g, d, l, c, val_x, val_y = world
         alpha = accuracy_scaled_alpha(0.42, PolicySpec())
         want = clique_confined_policy(g, build_transition(g, importance_vector(d, l, c, alpha, True)))
+        pol = clique_confined_policy(g, uniform_transition(g))
         for i in range(g.node_count):
             for home in range(g.n_cliques):  # a walker away from home walks the clique it is in
-                pol = clique_confined_policy(g, uniform_transition(g))
                 w = fresh_walker(position=i, policy=pol, home_clique=home)
-                targets, probs = refreshed_row(w, 0.42, PolicySpec(), d, l, c, g)
+                targets, cdf = refreshed_row(w, 0.42, PolicySpec(), d, l, c, g)
                 assert np.array_equal(targets, want.row(i)[0])
-                assert np.allclose(probs, want.row(i)[1], atol=1e-15)
-                validate_policy(pol, g)
+                assert cdf.tobytes() == np.cumsum(want.row(i)[1]).tobytes()
+        validate_policy(pol, g)
 
     def test_equal_accuracy_gives_identical_policies(self, world):
         g, d, l, c, val_x, val_y = world
         for i in range(g.node_count):
             w = fresh_walker(position=i, policy=uniform_transition(g))
             acc = evaluate(w.im, val_x, val_y)[1]
-            targets_a, probs_a = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
-            targets_b, probs_b = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
+            targets_a, cdf_a = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
+            targets_b, cdf_b = refreshed_row(w, acc, PolicySpec(), d, l, c, g)
             assert np.array_equal(targets_a, targets_b)
-            assert np.array_equal(probs_a, probs_b)
+            assert np.array_equal(cdf_a, cdf_b)
 
     def test_negative_importance_rejected(self, world):
         g, d, l, c, val_x, val_y = world
@@ -237,10 +239,10 @@ class TestPerception:
     def test_zero_importance_row_warns(self, world, caplog):
         g, d, l, c, val_x, val_y = world
         with caplog.at_level("WARNING", logger="xlwalk.walker"):
-            targets, probs = refreshed_row(
+            targets, cdf = refreshed_row(
                 fresh_walker(position=3, policy=uniform_transition(g)), 0.5, PolicySpec(), 0 * d, l, 0 * c, g
             )
-        assert np.allclose(probs, 1.0 / targets.size)
+        assert cdf.tobytes() == np.cumsum(np.full(targets.size, 1.0 / targets.size)).tobytes()
         assert [r.getMessage() for r in caplog.records] == [
             "zero-importance neighborhood of node 3 fell back to a uniform row"
         ]
@@ -250,9 +252,9 @@ class TestPerception:
         for i in range(g.node_count):
             w = fresh_walker(position=i, policy=uniform_transition(g))
             rows = [refreshed_row(w, 0.42, PolicySpec(), d, l, c, g) for _ in range(3)]
-            for targets, probs in rows[1:]:
+            for targets, cdf in rows[1:]:
                 assert np.array_equal(targets, rows[0][0])
-                assert np.array_equal(probs, rows[0][1])
+                assert np.array_equal(cdf, rows[0][1])
 
     def test_other_rows_are_not_built(self, world, monkeypatch):
         g, d, l, c, val_x, val_y = world
@@ -265,18 +267,16 @@ class TestPerception:
 
         monkeypatch.setattr(policy, "transition_row", counted)
         pol = uniform_transition(g)
-        probs_before, cdf_before = pol.probs.copy(), pol.cdf.copy()
-        perception_refresh(fresh_walker(position=3, policy=pol), 0.42, PolicySpec(), d, l, c, g)
+        before = [a.tobytes() for a in (pol.indptr, pol.targets, pol.probs, pol.cdf)]
+        w = fresh_walker(position=3, policy=pol)
+        perception_refresh(w, 0.42, PolicySpec(), d, l, c, g)
         imp = importance_vector(d, l, c, accuracy_scaled_alpha(0.42, PolicySpec()), True)
         targets, probs, _ = real(g, imp, 3)
         assert built == [3]
-        lo, hi = pol.indptr[3], pol.indptr[4]
-        others = np.r_[0:lo, hi:pol.probs.size]
-        assert pol.probs[others].tobytes() == probs_before[others].tobytes()
-        assert pol.cdf[others].tobytes() == cdf_before[others].tobytes()
+        assert [a.tobytes() for a in (pol.indptr, pol.targets, pol.probs, pol.cdf)] == before
         assert np.array_equal(pol.row(3)[0], targets)
-        assert pol.row(3)[1].tobytes() == probs.tobytes() != probs_before[lo:hi].tobytes()
-        assert pol.cdf[lo:hi].tobytes() == np.cumsum(probs).tobytes()
+        assert probs.tobytes() != pol.row(3)[1].tobytes()
+        assert w.row_cdf.tobytes() == np.cumsum(probs).tobytes()
 
     def test_stale_model_never_read_when_memory_disabled(self):
         """Training with a corrupted stale copy gives an identical IM path."""
