@@ -31,16 +31,21 @@ from .presets import PRESETS, preset_configs
 
 
 def _write_outputs(results: list[RunResult], out_dir: Path) -> None:
-    """Write the three artifacts; the tables come first, so a failed summary writes no file."""
+    """Write the three artifacts, or leave the old ones; the tables come first, so a failed summary
+    writes no file."""
     records = [r.metrics for r in results]
     summary, metrics = summarize(records), metrics_to_csv(records)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "events.jsonl", "w") as f:
-        for res in results:
-            for ev in res.events:
-                f.write(json.dumps(ev) + "\n")
-    (out_dir / "metrics.csv").write_text(metrics)
-    (out_dir / "summary.csv").write_text(summary)
+
+    def write_events(temp: Path) -> None:
+        with open(temp, "w") as f:
+            f.writelines(json.dumps(ev) + "\n" for res in results for ev in res.events)
+
+    datahub.replace_files({
+        out_dir / "events.jsonl": write_events,
+        out_dir / "metrics.csv": lambda temp: temp.write_text(metrics),
+        out_dir / "summary.csv": lambda temp: temp.write_text(summary),
+    })
 
 
 def _cmd_gen_graph(args) -> int:
@@ -126,7 +131,8 @@ def _cmd_report(args) -> int:
         records = metrics_from_csv(metrics_path.read_text(), events)
     except (KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed run outputs under {args.in_dir}: {exc!r}") from None
-    (Path(args.in_dir) / "summary.csv").write_text(summarize(records))
+    summary = summarize(records)
+    datahub.replace_files({Path(args.in_dir) / "summary.csv": lambda temp: temp.write_text(summary)})
     return 0
 
 

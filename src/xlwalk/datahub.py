@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -282,19 +283,24 @@ def save_dataset(ds: Dataset, path: str | Path, binary_features: bool = False) -
         doc.update(features_file=bin_path.name, features_shape=list(ds.features.shape), features_dtype="<f4")
     else:
         doc["features"] = ds.features.tolist()
-    # Temporary names beside the targets, renamed with the JSON last: a JSON always finds its sidecar.
-    targets = [bin_path, path] if binary_features else [path]
-    temps = [target.with_name(target.name + ".tmp") for target in targets]
+    writers = {bin_path: ds.features.astype("<f4").tofile} if binary_features else {}
+    writers[path] = lambda temp: temp.write_text(json.dumps(doc))  # renamed last: a JSON always finds its sidecar
+    replace_files(writers)
+
+
+def replace_files(writers: dict[Path, Callable[[Path], object]]) -> None:
+    """Write each target through its writer under a temporary name beside it, then rename them
+    into place in order. A failure removes every temporary and every target this call renamed."""
+    temps = {target: target.with_name(target.name + ".tmp") for target in writers}
     renamed = []
     try:
-        if binary_features:
-            ds.features.astype("<f4").tofile(temps[0])
-        temps[-1].write_text(json.dumps(doc))
-        for temp, target in zip(temps, targets):
+        for target, write in writers.items():
+            write(temps[target])
+        for target, temp in temps.items():
             temp.replace(target)
             renamed.append(target)
     except BaseException:
-        for written in temps + renamed:
+        for written in [*temps.values(), *renamed]:
             written.unlink(missing_ok=True)
         raise
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import datahub, policy, swarm, topology, walker
 from .errors import ConfigError
-from .learner import LearnerSpec, evaluate, init_model
+from .learner import LearnerSpec, evaluate, init_model, lockstep
 from .policy import (
     IMPORTANCE_DYNAMIC,
     IMPORTANCE_STATIC,
@@ -427,14 +427,15 @@ def move(run: Run, t: int) -> None:
 
 
 def train(run: Run, t: int) -> None:
-    """Train every walker on its node's samples and log the visit."""
+    """Train every walker on its node's samples and log the visit; the walkers train in lockstep."""
     env = run.env
     run.visits = []
-    for w in run.swarm.walkers:
-        node = w.position
-        iters = run.budget[node]
-        walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner)
-        run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
+    with lockstep():
+        for w in run.swarm.walkers:
+            node = w.position
+            iters = run.budget[node]
+            walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner)
+            run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
 
 
 def merge_memory(run: Run, t: int) -> None:

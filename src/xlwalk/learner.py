@@ -2,9 +2,11 @@
 
 Two architectures share one flat parameter vector: multinomial softmax
 regression and a single tanh hidden layer. Training is plain mini-batch SGD
-on cross-entropy with optional L2. `sgd_steps` trains in a per-process
-workspace and returns a fresh copy of the result in a new model, so the
-caller's theta is never aliased and callers can keep multiple model copies.
+on cross-entropy with optional L2. `sgd_steps` draws its batches when called;
+inside a `lockstep` block its arithmetic waits, and the block's calls train
+together as one stacked kernel when it exits, so a model returned inside a
+block holds its theta once the block exits. Every returned model has a theta
+array of its own, so callers can keep multiple model copies.
 `evaluate` scores in a class-major layout whose operations reproduce the
 sample-major `_log_softmax` bit for bit.
 """
@@ -127,87 +129,138 @@ def loss_and_grad(
     return float(loss), grad
 
 
-# Steps whose batches are drawn and gathered at once; bounds the gather buffers whatever k is.
+# Steps whose batches are gathered at once; bounds each walker's gather buffers whatever k is.
 _CHUNK_STEPS = 64
 
 
-@functools.lru_cache(maxsize=16)
-def _sgd_workspace(arch: str, n_dims: int, n_classes: int, hidden: int, cfg: LearnerSpec):
-    """A theta buffer and the SGD step that updates it in place, kept per model shape and spec.
+@functools.lru_cache(maxsize=32)
+def _stack(arch: str, n_dims: int, n_classes: int, hidden: int, cfg: LearnerSpec, rows: int, slots: int):
+    """A (rows, P) theta block, gather buffers of `slots` steps per row, and `kernel(height)`:
+    the SGD step that updates rows [:height] in place from the batches in one slot.
 
     The step performs `loss_and_grad`'s floating-point operations in the same
-    order on the same operand layouts, so theta matches `theta -= lr * grad`
-    bit for bit. It skips only what the update does not read: the loss value.
+    order on the same per-row operand layouts, so each row matches
+    `theta -= lr * grad` bit for bit: a stacked matmul or reduction computes
+    each row as the 2-D call does, and at height 1 the step makes the 2-D calls.
+    It skips only the loss value.
     """
-    theta = np.empty(param_length(arch, n_dims, n_classes, hidden))
-    grad = np.empty(theta.size)
-    batch = cfg.batch_size
-    if arch == SOFTMAX:
-        w_in = None
-        w_out = theta.reshape(n_classes, n_dims + 1)
-        g_out = grad.reshape(n_classes, n_dims + 1)
-    else:
-        cut = hidden * (n_dims + 1)
-        w_in = theta[:cut].reshape(hidden, n_dims + 1)
-        w_out = theta[cut:].reshape(n_classes, hidden + 1)
-        g_in = grad[:cut].reshape(hidden, n_dims + 1)
-        g_out = grad[cut:].reshape(n_classes, hidden + 1)
-        w_in_t, b_in = w_in[:, :-1].T, w_in[:, -1]
-        g_in_w, g_in_b = g_in[:, :-1], g_in[:, -1]
-        h = np.empty((batch, hidden))
-        back = np.empty((batch, hidden))
-        back_t = back.T
-        slope = np.empty((batch, hidden))
-    w_out_w, b_out = w_out[:, :-1], w_out[:, -1]
-    w_out_t = w_out_w.T
-    g_out_w, g_out_b = g_out[:, :-1], g_out[:, -1]
-    logits = np.empty((batch, n_classes))
-    scratch = np.empty((batch, n_classes))
-    probs = np.empty((batch, n_classes))
-    probs_t = probs.T
-    row = np.empty((batch, 1))
-    decay = np.empty(theta.size) if cfg.l2 > 0.0 else None
+    mlp, batch = arch == MLP, cfg.batch_size
+    theta = np.empty((rows, param_length(arch, n_dims, n_classes, hidden)))
+    grad, decay = np.empty_like(theta), np.empty_like(theta) if cfg.l2 > 0.0 else None
+    xs = np.empty((rows, slots, batch, n_dims))  # row r, slot j: walker r's batch at step j of a chunk
+    ys = np.empty((rows, slots, batch, n_classes))  # and its one-hot targets
+    work = [np.empty((rows, batch, width)) for width in (hidden, hidden, hidden, n_classes, n_classes, n_classes, 1)]
     lr, l2, n = cfg.learning_rate, cfg.l2, float(batch)
-    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    matmul, add, subtract, multiply, divide = np.matmul, np.add, np.subtract, np.multiply, np.divide
+    exp, log, tanh, max_reduce, sum_reduce = np.exp, np.log, np.tanh, np.maximum.reduce, np.add.reduce
 
-    def step(x: np.ndarray, onehot: np.ndarray) -> None:
-        if w_in is None:
+    @functools.cache
+    def kernel(height: int):
+        def cut(a):
+            return a[0] if height == 1 else a[:height]
+
+        th, gr, dec = cut(theta), cut(grad), decay if decay is None else cut(decay)
+        h, back, slope, logits, scratch, probs, row = map(cut, work)
+        x_slots, y_slots = (list(np.moveaxis(cut(a), -3, 0)) for a in (xs, ys))
+        split, lead = hidden * (n_dims + 1) if mlp else 0, th.shape[:-1]
+        w_in, g_in = (a[..., :split].reshape(lead + (-1, n_dims + 1)) for a in (th, gr))  # empty for softmax
+        w_out, g_out = (a[..., split:].reshape(lead + (n_classes, -1)) for a in (th, gr))
+        w_in_w, b_in, w_out_w, b_out = w_in[..., :-1], w_in[..., None, :, -1], w_out[..., :-1], w_out[..., None, :, -1]
+        g_in_w, g_in_b, g_out_w, g_out_b = g_in[..., :-1], g_in[..., -1], g_out[..., :-1], g_out[..., -1]
+        w_in_t, w_out_t, probs_t, back_t = (a.swapaxes(-1, -2) for a in (w_in_w, w_out_w, probs, back))
+
+        def step(slot: int) -> None:  # outputs go positionally: parsing `out=` costs more than some calls
+            x, onehot = x_slots[slot], y_slots[slot]
             a = x
-        else:
-            matmul(x, w_in_t, out=h)
-            add(h, b_in, out=h)
-            np.tanh(h, out=h)
-            a = h
-        matmul(a, w_out_t, out=logits)
-        add(logits, b_out, out=logits)
-        np.maximum.reduce(logits, 1, None, row, True)  # _log_softmax, in place in logits
-        subtract(logits, row, out=logits)
-        np.exp(logits, out=scratch)
-        add.reduce(scratch, 1, None, row, True)
-        np.log(row, out=row)
-        subtract(logits, row, out=logits)
-        np.exp(logits, out=probs)
-        subtract(probs, onehot, out=probs)  # x - 0.0 == x, so only the label entries change
-        np.divide(probs, n, out=probs)
-        matmul(probs_t, a, out=g_out_w)
-        add.reduce(probs, 0, None, g_out_b)
-        if w_in is not None:
-            matmul(probs, w_out_w, out=back)
-            multiply(h, h, out=slope)
-            subtract(1.0, slope, out=slope)
-            multiply(back, slope, out=back)
-            matmul(back_t, x, out=g_in_w)
-            add.reduce(back, 0, None, g_in_b)
-        if decay is not None:
-            multiply(theta, l2, out=decay)
-            add(grad, decay, out=grad)
-        multiply(grad, lr, out=grad)
-        subtract(theta, grad, out=theta)
+            if mlp:
+                matmul(x, w_in_t, h)
+                add(h, b_in, h)
+                a = tanh(h, h)
+            matmul(a, w_out_t, logits)
+            add(logits, b_out, logits)
+            max_reduce(logits, -1, None, row, True)  # _log_softmax, in place in logits
+            subtract(logits, row, logits)
+            exp(logits, scratch)
+            sum_reduce(scratch, -1, None, row, True)
+            log(row, row)
+            subtract(logits, row, logits)
+            exp(logits, probs)
+            subtract(probs, onehot, probs)  # x - 0.0 == x, so only the label entries change
+            divide(probs, n, probs)
+            matmul(probs_t, a, g_out_w)
+            sum_reduce(probs, -2, None, g_out_b)
+            if mlp:
+                matmul(probs, w_out_w, back)
+                multiply(h, h, slope)
+                subtract(1.0, slope, slope)
+                multiply(back, slope, back)
+                matmul(back_t, x, g_in_w)
+                sum_reduce(back, -2, None, g_in_b)
+            if dec is not None:
+                multiply(th, l2, dec)
+                add(gr, dec, gr)
+            multiply(gr, lr, gr)
+            subtract(th, gr, th)
 
-    return theta, step
+        return step
+
+    return theta, xs, ys, kernel
 
 
 _one_hot_rows = functools.lru_cache(maxsize=16)(np.eye)  # row c: the one-hot target of class c
+
+_pending: list[tuple] | None = None  # the open block's calls, (m, features, labels, k, cfg, draws, out)
+
+
+class lockstep:
+    """Queue every `sgd_steps` call made inside the block, and train them when it exits normally.
+
+    The calls train as one stack per model shape and spec, rows sorted by k,
+    largest first, so the walkers still training at any step are a prefix of
+    the stack. A block that raises trains nothing. Blocks do not nest. The
+    queue, like the stacks, is per-process: `run_many` never fans out to threads.
+    """
+
+    def __enter__(self) -> None:
+        global _pending
+        if _pending is not None:
+            raise RuntimeError("a lockstep block is already open")
+        _pending = []
+
+    def __exit__(self, exc_type, *_) -> None:
+        global _pending
+        calls, _pending = _pending, None
+        if exc_type is None:
+            _train(calls)
+
+
+def _train(calls: list[tuple]) -> None:
+    groups: dict[tuple, list[tuple]] = {}
+    for call in calls:
+        m = call[0]
+        groups.setdefault((m.arch, m.n_dims, m.n_classes, m.hidden, call[4]), []).append(call)
+    for key, group in groups.items():
+        group.sort(key=lambda call: -call[3])
+        # sizes rounded up to powers of two, so that few stacks serve varying walker counts and budgets
+        sizes = (1 << (len(group) - 1).bit_length(), 1 << (min(group[0][3], _CHUNK_STEPS) - 1).bit_length())
+        theta, xs, ys, kernel = _stack(*key, *sizes)
+        for r, call in enumerate(group):
+            theta[r] = call[0].theta
+        one_hot, active, step = _one_hot_rows(key[2]), len(group), kernel(len(group))
+        for s in range(group[0][3]):
+            slot = s % _CHUNK_STEPS
+            if group[active - 1][3] <= s:  # the prefix rule: rows whose k steps are done leave the stack
+                while group[active - 1][3] <= s:
+                    active -= 1
+                step = kernel(active)
+            if slot == 0:  # indices are drawn in range, so "clip" never acts; it spares take a copy
+                for r, (_, features, labels, _, _, draws, _) in enumerate(group[:active]):
+                    idx = draws[s // _CHUNK_STEPS]
+                    features.take(idx, axis=0, out=xs[r, : len(idx)], mode="clip")
+                    one_hot.take(labels.take(idx), axis=0, out=ys[r, : len(idx)], mode="clip")
+            step(slot)
+        for r, call in enumerate(group):
+            call[-1][...] = theta[r]
 
 
 def sgd_steps(
@@ -222,27 +275,31 @@ def sgd_steps(
 
     The result is bit-identical to k rounds of `rng.integers(0, n, size=B)`,
     `loss_and_grad` and `theta -= lr * grad`, and leaves rng in the same
-    state: one flat draw of steps * B indices per chunk yields the same index
-    stream as that many `B`-sized draws.
+    state: one flat draw of steps * B indices per chunk, all made before the
+    call returns, yields the same index stream as that many `B`-sized draws.
 
-    Training runs in a workspace cached per model shape and spec, which is
-    per-process scratch: `run_many` parallelizes with processes, never threads,
-    so no two calls share it at once. The returned theta is a fresh copy.
+    Outside a `lockstep` block the call trains at once. Inside one, the model
+    it returns reads NaN until the block exits, and holds its theta from then
+    on. Training runs in a stack cached per model shape and spec, per-process
+    scratch; the returned theta is an array of its own.
     """
     if features.shape[0] == 0:
         raise ValueError("cannot train on an empty sample set")
     if k < 1:
         raise ConfigError("need at least one SGD step")
-    theta, step = _sgd_workspace(m.arch, m.n_dims, m.n_classes, m.hidden, cfg)
-    theta[...] = m.theta
-    one_hot = _one_hot_rows(m.n_classes)
-    batch = cfg.batch_size
-    n = features.shape[0]
-    for done in range(0, k, _CHUNK_STEPS):
-        idx = rng.integers(0, n, size=min(_CHUNK_STEPS, k - done) * batch).reshape(-1, batch)
-        for x, onehot in zip(features.take(idx, axis=0), one_hot.take(labels.take(idx), axis=0)):
-            step(x, onehot)
-    return ModelParams(m.arch, m.n_dims, m.n_classes, m.hidden, theta.copy())
+    if _pending and any(m.theta is call[-1] for call in _pending):
+        raise RuntimeError("this model is still waiting to train in the open lockstep block")
+    features, n, batch = np.asarray(features, dtype=np.float64), features.shape[0], cfg.batch_size
+    draws = [rng.integers(0, n, size=min(_CHUNK_STEPS, k - done) * batch).reshape(-1, batch)
+             for done in range(0, k, _CHUNK_STEPS)]
+    call = (m, features, labels, k, cfg, draws, np.empty(m.theta.size))
+    call[-1].fill(np.nan)
+    if _pending is not None:
+        _pending.append(call)
+    else:
+        with lockstep():  # outside a block, a block of one
+            _pending.append(call)
+    return ModelParams(m.arch, m.n_dims, m.n_classes, m.hidden, call[-1])
 
 
 def _class_sum(e: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, summarize_spans  # noqa: E402
 
-from xlwalk import learner, policy  # noqa: E402
+from xlwalk import experiment, learner, policy  # noqa: E402
+
+from .test_simulate_reference import UNEVEN  # noqa: E402
 
 
 def _bindings():
@@ -60,3 +62,15 @@ def test_counters_bind_like_the_functions_they_count():
             assert (got[name].default is empty) == (want[name].default is empty), (target.attr, name)
             assert got[name].kind == want[name].kind, (target.attr, name)
 
+
+
+def test_traced_steps_match_the_walkers_on_a_lockstep_run():
+    """Walkers that train in lockstep still make one counted `sgd_steps` call per non-empty
+    visit, so the traced step count is the walkers' own, on unequal budgets and empty nodes."""
+    cfg = UNEVEN["softmax-empty-nodes"]
+    with Tracer(bench.TARGETS) as tracer:
+        results = experiment.run_many([(cfg, 0)], threads=1)
+    visits = [ev["iters"] for ev in results[0].events if ev["kind"] == "visit"]
+    assert 0 in visits and len(set(visits) - {0}) > 1
+    assert tracer.counts["learner.steps"] == bench.total_cum_iters(results) == sum(visits)
+    assert summarize_spans(tracer.spans)["learner.sgd_steps"]["calls"] == sum(1 for k in visits if k > 0)

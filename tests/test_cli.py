@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xlwalk
-from xlwalk.cli import build_parser, main
+from xlwalk.cli import _write_outputs, build_parser, main
 from xlwalk.datahub import load_dataset
 from xlwalk import experiment
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
@@ -507,6 +507,23 @@ class TestReport:
     def test_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "nope")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestAtomicOutputs:
+    """A write that fails part-way leaves the previous trio byte for byte, and no temporary file."""
+
+    @pytest.mark.parametrize("nth", [0, -1])
+    def test_unserializable_event_keeps_the_old_trio(self, tmp_path, nth):
+        cfg = experiment.config_from_dict(dict(SMALL_CONFIG, **MULTI_WALKER))
+        out = tmp_path / "out"
+        _write_outputs(experiment.run_many([(cfg, 0)]), out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        results = experiment.run_many([(cfg, 1)])
+        events = results[0].events
+        events[nth] = dict(events[nth], bad=object())  # json.dumps raises TypeError on this event
+        with pytest.raises(TypeError):
+            _write_outputs(results, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestNoRunsNoArtifacts:

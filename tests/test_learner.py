@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +16,11 @@ from xlwalk.learner import (
     _class_logits,
     _class_sum,
     _log_softmax,
-    _sgd_workspace,
     _split_mlp,
+    _stack,
     evaluate,
     init_model,
+    lockstep,
     loss_and_grad,
     param_length,
     sgd_steps,
@@ -165,7 +170,7 @@ class TestFusedKernelMatchesReference:
 
 
 class TestSgdWorkspace:
-    """The cached per-process workspace never leaks into a returned model."""
+    """The cached per-process stack never leaks into a returned model."""
 
     def test_result_does_not_share_workspace(self):
         x, y = make_batch(40, 6, 3, seed=0)
@@ -173,7 +178,7 @@ class TestSgdWorkspace:
         cfg = LearnerSpec(learning_rate=0.1, batch_size=8)
         a = sgd_steps(m, x, y, 3, cfg, np.random.default_rng(0))
         b = sgd_steps(m, x, y, 3, cfg, np.random.default_rng(1))
-        workspace, _ = _sgd_workspace("softmax", 6, 3, 0, cfg)
+        workspace = _stack("softmax", 6, 3, 0, cfg, 1, 4)[0]  # one row, 3 steps in 4 slots
         for theta in (a.theta, b.theta):
             assert not np.shares_memory(theta, workspace)
         assert not np.shares_memory(a.theta, b.theta)
@@ -204,6 +209,108 @@ class TestSgdWorkspace:
                 lane[4] = reference_sgd_steps(ref, x, y, k, cfg, ref_rng)
                 assert np.array_equal(lane[3].theta, lane[4].theta)
                 assert fused_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Budgets per walker, cycled: equal, unequal, on both sides of a gather chunk and past two.
+LOCKSTEP_KS = (5, 1, 64, 65, 30, 2 * _CHUNK_STEPS + 3, 5, 7)
+
+
+def lockstep_walkers(arch, width, batch, l2):
+    """`width` walkers of one shape and spec, each with its own samples, model, stream and k."""
+    cfg = LearnerSpec(arch=arch, hidden=9, learning_rate=0.1, batch_size=batch, l2=l2)
+    walkers = []
+    for i in range(width):
+        x, y = make_batch(1 + 37 * i % 300, 12, 5, seed=i)
+        walkers.append((init_model(arch, 12, 5, seed=i, hidden=9), x, y, LOCKSTEP_KS[i % len(LOCKSTEP_KS)], i))
+    return cfg, walkers
+
+
+class TestLockstepMatchesReference:
+    """Walkers trained in one lockstep block: each gets the reference theta and stream state."""
+
+    @pytest.mark.parametrize("batch", [1, 31, 32])
+    @pytest.mark.parametrize("width", [1, 2, 8, 14, 32])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("arch", ["softmax", "mlp"])
+    def test_bit_identical(self, arch, l2, width, batch):
+        cfg, walkers = lockstep_walkers(arch, width, batch, l2)
+        rngs = [np.random.default_rng(seed) for *_, seed in walkers]
+        with lockstep():
+            trained = [sgd_steps(m, x, y, k, cfg, rng) for (m, x, y, k, _), rng in zip(walkers, rngs)]
+        for (m, x, y, k, seed), out, rng in zip(walkers, trained, rngs):
+            ref_rng = np.random.default_rng(seed)
+            ref = reference_sgd_steps(m, x, y, k, cfg, ref_rng)
+            assert np.array_equal(out.theta, ref.theta)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_mixed_shapes_and_specs_in_one_block(self):
+        """Calls over two shapes and two specs, interleaved in one block, each match the reference."""
+        lanes = []
+        for dims, classes, arch in ((6, 3, "softmax"), (9, 4, "mlp")):
+            for i, cfg in enumerate([LearnerSpec(arch=arch, hidden=4, learning_rate=0.1, batch_size=8),
+                                     LearnerSpec(arch=arch, hidden=4, learning_rate=0.05, batch_size=5, l2=0.01)]):
+                x, y = make_batch(50 + i, dims, classes, seed=i)
+                lanes.append((init_model(arch, dims, classes, seed=i, hidden=4), x, y, 3 + 40 * i, cfg, i))
+        with lockstep():
+            trained = [sgd_steps(m, x, y, k, cfg, np.random.default_rng(seed)) for m, x, y, k, cfg, seed in lanes]
+        for (m, x, y, k, cfg, seed), out in zip(lanes, trained):
+            assert np.array_equal(out.theta, reference_sgd_steps(m, x, y, k, cfg, np.random.default_rng(seed)).theta)
+
+    def test_theta_reads_nan_until_the_block_exits(self):
+        cfg, walkers = lockstep_walkers("softmax", 3, 4, 0.0)
+        with lockstep():
+            trained = [sgd_steps(m, x, y, k, cfg, np.random.default_rng(seed)) for m, x, y, k, seed in walkers]
+            assert all(np.isnan(out.theta).all() for out in trained)
+        for (m, x, y, k, seed), out in zip(walkers, trained):
+            assert np.array_equal(out.theta, reference_sgd_steps(m, x, y, k, cfg, np.random.default_rng(seed)).theta)
+
+    def test_a_block_that_raises_trains_nothing_and_closes(self):
+        cfg, walkers = lockstep_walkers("softmax", 2, 4, 0.0)
+        (m, x, y, k, _), _ = walkers
+        with pytest.raises(KeyError):
+            with lockstep():
+                queued = sgd_steps(m, x, y, k, cfg, np.random.default_rng(0))
+                raise KeyError("inside the block")
+        assert np.isnan(queued.theta).all()
+        with lockstep():  # no block was left open
+            pass
+        trained = sgd_steps(m, x, y, k, cfg, np.random.default_rng(0))  # outside a block: trains at once
+        assert np.array_equal(trained.theta, reference_sgd_steps(m, x, y, k, cfg, np.random.default_rng(0)).theta)
+
+    def test_float32_features_train_as_their_float64_values(self):
+        cfg, ((m, x, y, k, _), *_) = lockstep_walkers("mlp", 1, 4, 0.0)
+        x32 = x.astype(np.float32)
+        out = sgd_steps(m, x32, y.astype(np.int32), k, cfg, np.random.default_rng(0))
+        ref = reference_sgd_steps(m, x32.astype(np.float64), y, k, cfg, np.random.default_rng(0))
+        assert np.array_equal(out.theta, ref.theta)
+
+    def test_a_queued_model_cannot_train_again_in_its_block(self):
+        cfg, ((m, x, y, k, _), *_) = lockstep_walkers("softmax", 1, 4, 0.0)
+        with pytest.raises(RuntimeError):
+            with lockstep():
+                queued = sgd_steps(m, x, y, k, cfg, np.random.default_rng(0))
+                sgd_steps(queued, x, y, k, cfg, np.random.default_rng(1))
+        with pytest.raises(RuntimeError):
+            with lockstep():
+                with lockstep():
+                    pass
+
+    @pytest.mark.parametrize("family, needs", [("Haswell", ("AVX2", "FMA3")), ("Sandybridge", ("AVX",))])
+    def test_bit_identical_under_other_blas_kernels(self, family, needs):
+        """The same checks in a process whose OpenBLAS runs another kernel family."""
+        umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy 2's home of the CPU flags
+        if not all(umath.__cpu_features__.get(flag) for flag in needs):
+            pytest.skip(f"this CPU cannot run OpenBLAS's {family} kernels")
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": family,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).name}::TestLockstepMatchesReference::test_bit_identical",
+             f"{Path(__file__).name}::TestFusedKernelMatchesReference::test_bit_identical"],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 def reference_logits(m, features):
