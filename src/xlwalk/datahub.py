@@ -304,19 +304,3 @@ def replace_files(writers: dict[Path, Callable[[Path], object]]) -> None:
             written.unlink(missing_ok=True)
         raise
 
-
-def load_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    if "features_file" in doc:
-        raw = np.fromfile(path.parent / doc["features_file"], dtype=doc["features_dtype"])
-        features = raw.reshape(doc["features_shape"]).astype(np.float64)
-    else:
-        features = np.array(doc["features"], dtype=np.float64)
-    return Dataset(
-        features=features,
-        labels=np.array(doc["labels"], dtype=np.int64),
-        train_indices=np.array(doc["train_indices"], dtype=np.int64),
-        val_indices=np.array(doc["val_indices"], dtype=np.int64),
-        n_classes=doc["n_classes"],
-    )

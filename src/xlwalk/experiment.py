@@ -7,19 +7,25 @@ interact are bit-identical to the same walkers run alone. Outputs carry no
 wall-clock or machine state: identical inputs give identical bytes. Runs on
 one world share its build, and only importance runs compute its betweenness.
 
-A run is a `Run` record that `simulate` scores at jump 0 and then passes,
+`simulate` runs a batch of cells that share one world. It starts a `Run`
+record per cell, scores each at jump 0, and then advances them together,
 jump after jump, through the functions of `PHASES`, in this fixed order:
 `attract` (pursuit triggers), `move` (ascending walker id), `train` (local
 SGD), `merge_memory`, `collisions` (co-location, then rendezvous, then
 uplink) and `score` (validation scores, the dynamic perception refresh and
-the metric rows). Each phase reads the jump `t`, the run's one clock; the
+the metric rows). Each phase runs over every live run before the next
+begins, and the `train` phases of a jump share one `learner.lockstep` block,
+so the batch's walkers train as one stack. Each phase reads the jump `t`,
+the run's one clock; a run leaves the batch after its last jump. The
 rendezvous schedule and the event format live in this module alone.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import logging
 import os
 import sys
@@ -381,6 +387,7 @@ class Run:
 
     cfg: ExperimentConfig
     env: Environment
+    seed: int
     run_id: str
     swarm: swarm.SwarmState
     interactions_on: bool  # a zero trigger floor leaves walkers independent: no draws and no collisions
@@ -405,6 +412,12 @@ class Run:
         for pair in pairs:
             self.events.append({"kind": kind, "walkers": self.ids(pair), "run_id": self.run_id, "t": t, **extra})
 
+    def result(self) -> RunResult:
+        tally = _collisions_from_events(self.events).get(self.run_id, (0, []))
+        series, ids = self.cfg.series_label, self.ids(range(self.swarm.size))
+        metrics = _metrics_record(series, self.seed, ids, self.rows, tally)
+        return RunResult(run_id=self.run_id, series=series, seed=self.seed, events=self.events, metrics=metrics)
+
 
 def attract(run: Run, t: int) -> None:
     """Draw pursuit triggers for idle pairs from the time since each pair last aggregated."""
@@ -427,15 +440,14 @@ def move(run: Run, t: int) -> None:
 
 
 def train(run: Run, t: int) -> None:
-    """Train every walker on its node's samples and log the visit; the walkers train in lockstep."""
+    """Train every walker on its node's samples and log the visit; `simulate` opens the lockstep block."""
     env = run.env
     run.visits = []
-    with lockstep():
-        for w in run.swarm.walkers:
-            node = w.position
-            iters = run.budget[node]
-            walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner)
-            run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
+    for w in run.swarm.walkers:
+        node = w.position
+        iters = run.budget[node]
+        walker.visit(w, env.node_features[node], env.node_labels[node], iters, run.cfg.learner)
+        run.visits.append(run.log(t, "visit", walker_id=w.id, node=node, iters=iters))
 
 
 def merge_memory(run: Run, t: int) -> None:
@@ -506,14 +518,8 @@ def score(run: Run, t: int) -> None:
 PHASES = (attract, move, train, merge_memory, collisions, score)
 
 
-def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: list[int] | None = None) -> RunResult:
-    """Execute one full run over the environment built for (cfg, seed).
-
-    walker_ids defaults to range(cfg.walkers); passing an explicit subset
-    reruns just those walkers on their own sub-streams, which is what makes
-    non-interacting multi-walker runs decomposable walker by walker. The ids
-    must ascend, as walkers move, and each must be a walker of the full run.
-    """
+def _start(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: Iterable[int] | None = None) -> Run:
+    """A cell's run at jump 0, checked against the world and scored."""
     if env.key != _world_key(cfg, seed):
         raise ConfigError("the environment was built for another graph, data, partition or seed")
     ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
@@ -522,6 +528,7 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
     run = Run(
         cfg=cfg,
         env=env,
+        seed=seed,
         run_id=f"{cfg.series_label}:{seed}",
         swarm=swarm.new_swarm(_initial_walkers(env, cfg, seed, ids)),
         interactions_on=cfg.attraction.enabled and cfg.attraction.base_coeff > 0.0 and len(ids) > 1,
@@ -530,21 +537,39 @@ def simulate(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: lis
         visits=[{} for _ in ids],  # jump 0 has no visits: its scores reach only the rows
     )
     score(run, 0)
-    for t in range(1, cfg.jumps + 1):
-        for phase in PHASES:
-            phase(run, t)
+    return run
 
-    tally = _collisions_from_events(run.events).get(run.run_id, (0, []))
-    metrics = _metrics_record(cfg.series_label, seed, ids, run.rows, tally)
-    return RunResult(
-        run_id=run.run_id, series=cfg.series_label, seed=seed, events=run.events, metrics=metrics
-    )
+
+def simulate(env: Environment, cells: Iterable[tuple]) -> list[RunResult]:
+    """Execute the runs of cells that share the world `env`, one jump at a time, in lockstep.
+
+    A cell is (cfg, seed) or (cfg, seed, walker_ids), and its world key must
+    be env's. walker_ids defaults to range(cfg.walkers); an explicit subset
+    reruns just those walkers on their own sub-streams, which is what makes
+    non-interacting multi-walker runs decomposable walker by walker. The ids
+    must ascend, as walkers move, and each must be a walker of the full run.
+
+    At each jump every phase runs over the live runs in input order, and the
+    `train` phases of all of them share one `lockstep` block, so the walkers
+    of the whole batch train as one stack per model shape and spec. A run
+    leaves the batch once its `jumps` are done. No run reads another's state,
+    and every walker draws from its own stream, so each result equals that
+    cell simulated alone; results come in input order.
+    """
+    runs = [_start(env, *cell) for cell in cells]
+    live = runs
+    for t in range(1, max((run.cfg.jumps for run in runs), default=0) + 1):
+        live = [run for run in live if t <= run.cfg.jumps]
+        for phase in PHASES:
+            with lockstep() if phase is train else contextlib.nullcontext():
+                for run in live:
+                    phase(run, t)
+    return [run.result() for run in runs]
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Build the environment for (cfg, seed) and simulate it."""
-    env = build_environment(cfg, seed)
-    return simulate(env, cfg, seed)
+    return simulate(build_environment(cfg, seed), [(cfg, seed)])[0]
 
 
 def thread_count() -> int:
@@ -563,18 +588,15 @@ def _world_key(cfg: ExperimentConfig, seed: int) -> tuple:
 
 
 def _run_world_ordered(cells: list[tuple[ExperimentConfig, int]]) -> list[RunResult]:
-    """Simulate cells that come grouped by world, building each world once.
+    """Simulate cells that come grouped by world: each world is built once and its cells run as one batch.
 
-    One world is alive at a time: the previous one is released before the
-    next is built.
+    One world is alive at a time: nothing holds a world once its batch
+    returns, so it is released before the next is built.
     """
     results = []
-    env = None
-    for cfg, seed in cells:
-        if env is None or env.key != _world_key(cfg, seed):
-            env = None  # drop the old world before the new one is built
-            env = build_environment(cfg, seed)
-        results.append(simulate(env, cfg, seed))
+    for _, group in itertools.groupby(cells, key=lambda cell: _world_key(*cell)):
+        group = list(group)
+        results.extend(simulate(build_environment(*group[0]), group))
     return results
 
 

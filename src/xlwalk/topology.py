@@ -264,13 +264,3 @@ def graph_to_json(g: Graph) -> str:
         doc["cliques"] = list(g.clique_of)
     return json.dumps(doc)
 
-
-def graph_from_json(text: str) -> Graph:
-    doc = json.loads(text)
-    n = doc["n"]
-    edge_set = {(min(i, j), max(i, j)) for i, j in doc["edges"]}
-    positions = None
-    if "positions" in doc:
-        positions = tuple((float(x), float(y)) for x, y in doc["positions"])
-    clique_of = tuple(doc["cliques"]) if "cliques" in doc else None
-    return _build_graph(n, edge_set, positions=positions, clique_of=clique_of)

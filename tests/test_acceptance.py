@@ -271,10 +271,10 @@ def test_criterion_9_non_interaction_equivalence():
         seeds=(0,),
     )
     env = build_environment(cfg, seed=11)
-    multi = simulate(env, cfg, seed=11)
+    multi = simulate(env, [(cfg, 11)])[0]
     ok = True
     for wid in range(cfg.walkers):
-        solo = simulate(env, cfg, seed=11, walker_ids=[wid])
+        solo = simulate(env, [(cfg, 11, [wid])])[0]
         multi_nodes = [ev["node"] for ev in multi.events
                        if ev["kind"] == "visit" and ev["walker_id"] == wid]
         solo_nodes = [ev["node"] for ev in solo.events if ev["kind"] == "visit"]

@@ -12,11 +12,11 @@ import pytest
 
 import xlwalk
 from xlwalk.cli import _write_outputs, build_parser, main
-from xlwalk.datahub import load_dataset
 from xlwalk import experiment
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
-from xlwalk.topology import graph_from_json, graph_to_json
+from xlwalk.topology import graph_to_json
 
+from .readers import graph_from_json, load_dataset
 from .test_experiment import SPEC_RULES, reference_summarize
 
 

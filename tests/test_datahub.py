@@ -3,7 +3,6 @@ import pytest
 
 from xlwalk.datahub import (
     gen_synthetic,
-    load_dataset,
     partition_clique_dominant,
     partition_label_skew,
     save_dataset,
@@ -12,6 +11,8 @@ from xlwalk.errors import ConfigError
 from xlwalk.experiment import DataSpec
 from xlwalk.learner import LearnerSpec, evaluate, init_model, sgd_steps
 from xlwalk.topology import gen_connected_caveman, gen_rgg
+
+from .readers import load_dataset
 
 # Critical value of the chi-squared distribution, 9 degrees of freedom, p=0.01.
 CHI2_CRIT_DF9 = 21.665994333461924

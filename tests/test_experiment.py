@@ -349,15 +349,31 @@ class TestWorldAtATimeRunner:
             live.add(env)
             return env
 
-        def checked_simulate(env, cfg, seed):
+        def checked_simulate(env, cells):
             alive_at_simulate.append(len(live))
-            return real_simulate(env, cfg, seed)
+            return real_simulate(env, cells)
 
         monkeypatch.setattr(experiment, "build_environment", tracked_build)
         monkeypatch.setattr(experiment, "simulate", checked_simulate)
         run_many(world_cells(), threads=1)
         assert alive_at_build == [0] * 4  # the previous world is gone before the next is built
-        assert alive_at_simulate == [1] * 6
+        assert alive_at_simulate == [1] * 4  # one batch per world, its own world alone alive
+
+    def test_a_world_of_single_walker_cells_trains_as_one_stack_per_jump(self, monkeypatch):
+        """fig2's six one-walker series share a world: each jump trains them as one 8-row stack
+        (six rows rounded up to a power of two), never as six 1-row stacks."""
+        heights = []
+        real_stack = learner._stack
+
+        def spied_stack(*key_and_sizes):
+            heights.append(key_and_sizes[-2])
+            return real_stack(*key_and_sizes)
+
+        monkeypatch.setattr(learner, "_stack", spied_stack)
+        cells = [(replace(cfg, jumps=10), 0) for cfg in preset_configs("fig2", 1)]
+        results = run_many(cells, threads=1)
+        assert heights == [8] * 10
+        assert all(r.metrics.rows[-1][4] == 10 * cfg.iters_per_visit for r, (cfg, _) in zip(results, cells))
 
     def test_one_world_over_two_workers(self):
         cfg = small_config(jumps=12)
@@ -410,8 +426,8 @@ class TestSimulation:
         cfg = small_config(jumps=3)
         env = build_environment(replace(cfg, **other), seed)
         with pytest.raises(ConfigError, match="another graph, data, partition or seed"):
-            simulate(env, cfg, 0)
-        simulate(env, replace(cfg, walkers=2, jumps=2, **other), seed)  # same world, other walkers
+            simulate(env, [(cfg, 0)])
+        simulate(env, [(replace(cfg, walkers=2, jumps=2, **other), seed)])  # same world, other walkers
 
     def test_visit_events_every_jump(self):
         cfg = small_config()
@@ -511,7 +527,7 @@ class TestVisitBudget:
             return policy.elastic_iterations(quality, cfg.elastic)
 
         with caplog.at_level(logging.DEBUG, logger="xlwalk.walker"):
-            res = simulate(env, cfg, seed=0)
+            res = simulate(env, [(cfg, 0)])[0]
         visits = [ev for ev in res.events if ev["kind"] == "visit"]
         on_empty = [ev for ev in visits if ev["node"] in empty]
         assert on_empty and len(on_empty) < len(visits)
@@ -541,7 +557,7 @@ class TestDynamicModeWork:
         cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10, eval_every=eval_every)
         env = build_environment(cfg, seed=0)
         counts.update(evaluate=0, rows=0)
-        simulate(env, cfg, seed=0)
+        simulate(env, [(cfg, 0)])
         if kind == IMPORTANCE_DYNAMIC:
             assert counts == {"evaluate": 2 * (10 + 1), "rows": 2 * (10 + 1)}
         else:
@@ -576,7 +592,7 @@ class TestDynamicModeWork:
         monkeypatch.setattr(policy, "confined_row", row_spy(policy.confined_row))
         monkeypatch.setattr(walker, "perception_refresh", refresh_spy)
         monkeypatch.setattr(walker, "step", step_spy)
-        simulate(env, cfg, seed=0)
+        simulate(env, [(cfg, 0)])
         assert len(sampled) == 2 * 20
         g, part = env.graph, env.partition
         for position, accuracy, targets, refreshed_targets, probs, cdf in sampled:
@@ -613,7 +629,7 @@ class TestDynamicModeWork:
 
         monkeypatch.setattr(experiment, "_base_policy", base_spy)
         monkeypatch.setattr(walker, "step", step_spy)
-        simulate(env, cfg, seed=0)
+        simulate(env, [(cfg, 0)])
         [(pol, before)] = tables
         assert stepped == {id(pol)}
         assert [a.tobytes() for a in (pol.indptr, pol.targets, pol.probs, pol.cdf)] == before
@@ -645,7 +661,7 @@ class TestLazyBetweenness:
     @pytest.mark.parametrize("kind", [UNIFORM, MH])
     def test_uniform_and_mh_runs_never_compute_it(self, forbidden, kind):
         cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10)
-        simulate(build_environment(cfg, seed=0), cfg, seed=0)
+        simulate(build_environment(cfg, seed=0), [(cfg, 0)])
 
     def test_uniform_world_never_computes_it(self, forbidden):
         cfg = small_config(policy=PolicySpec(kind=UNIFORM), walkers=3, jumps=10, uplink=True)
@@ -656,8 +672,8 @@ class TestLazyBetweenness:
         cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10)
         env = build_environment(cfg, seed=0)
         assert calls == []
-        simulate(env, cfg, seed=0)
-        simulate(env, cfg, seed=0)
+        simulate(env, [(cfg, 0)])
+        simulate(env, [(cfg, 0)])
         assert calls == [env.graph]
 
     def test_shared_world_computes_it_once(self, calls):
@@ -717,7 +733,7 @@ class TestRunVisitLaw:
         mat = policy_matrix(experiment._base_policy(env, cfg), g.node_count)[np.ix_(nodes, nodes)]
         pi, bound = chain_law_bound(mat, nodes.index(start), self.STEPS)
 
-        res = simulate(env, cfg, seed=0)
+        res = simulate(env, [(cfg, 0)])[0]
         visited = [ev["node"] for ev in res.events if ev["kind"] == "visit"]
         counts = np.bincount(visited, minlength=g.node_count)
         assert len(visited) == counts[nodes].sum() == self.STEPS  # the walk never left its nodes
@@ -739,7 +755,7 @@ class TestSharedModelEvaluation:
         monkeypatch.setattr("xlwalk.experiment.evaluate", counted)
         env = build_environment(cfg, seed=0)
         assert all(x.shape[0] > 0 for x in env.node_features)  # every visit trains
-        res = simulate(env, cfg, seed=0)
+        res = simulate(env, [(cfg, 0)])[0]
         return len(calls), res
 
     @pytest.mark.parametrize("eval_every", [1, 3])
@@ -767,13 +783,13 @@ class TestNonInteraction:
             attraction=AttractionSpec(enabled=True, strength=1.0, base_coeff=0.0),
         )
         env = build_environment(cfg, seed=5)
-        multi = simulate(env, cfg, seed=5)
+        multi = simulate(env, [(cfg, 5)])[0]
         multi_visits = {
             wid: [ev["node"] for ev in multi.events if ev["kind"] == "visit" and ev["walker_id"] == wid]
             for wid in range(3)
         }
         for wid in range(3):
-            solo = simulate(env, cfg, seed=5, walker_ids=[wid])
+            solo = simulate(env, [(cfg, 5, [wid])])[0]
             solo_visits = [ev["node"] for ev in solo.events if ev["kind"] == "visit"]
             assert solo_visits == multi_visits[wid]
             solo_rows = [r for r in solo.metrics.rows]
@@ -786,7 +802,7 @@ class TestNonInteraction:
         cfg = small_config(walkers=2, jumps=3)
         env = build_environment(cfg, seed=0)
         with pytest.raises(ConfigError, match="walker_ids must be"):
-            simulate(env, cfg, seed=0, walker_ids=walker_ids)
+            simulate(env, [(cfg, 0, walker_ids)])
 
 
 class TestSweep:

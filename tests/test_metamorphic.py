@@ -54,7 +54,7 @@ def base_config(policy: str, variant: str, **overrides):
 
 def run(cfg):
     env = build_environment(cfg, seed=0)
-    return simulate(env, cfg, seed=0)
+    return simulate(env, [(cfg, 0)])[0]
 
 
 def lines(events):
@@ -165,10 +165,10 @@ def test_every_non_interacting_config_decomposes():
             env = build_environment(cfg, seed)
         except GenerationError:  # a geometric graph may stay disconnected after its retries
             assume(False)
-        multi = simulate(env, cfg, seed)
+        multi = simulate(env, [(cfg, seed)])[0]
         assert all(ev["kind"] == "visit" for ev in multi.events)
         for wid in range(cfg.walkers):
-            solo = simulate(env, cfg, seed, walker_ids=[wid])
+            solo = simulate(env, [(cfg, seed, [wid])])[0]
             assert lines(solo.events) == lines([ev for ev in multi.events if ev["walker_id"] == wid])
             assert solo.metrics.rows == [r for r in multi.metrics.rows if r[1] == wid]
 

@@ -1,4 +1,4 @@
-"""`simulate` against a reference simulator on generated interacting configs.
+"""`simulate` against a reference simulator on generated interacting configs and batches.
 
 `reference_simulate` is a plain copy of the simulator's jump loop and its
 phases, written one walker at a time. It trains with the per-step
@@ -6,9 +6,11 @@ phases, written one walker at a time. It trains with the per-step
 `reference_evaluate`, and it shares with the library only what the phases
 call: the walker, swarm and policy primitives and the run's initial state.
 A generated config runs through both, and the two `RunResult`s, events and
-metric rows, must be equal.
+metric rows, must be equal. A generated batch of cells on one world runs
+through `simulate` at once, and each of its results must equal the
+reference run of that cell alone.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -143,9 +145,9 @@ def ref_score(run, t):
 REF_PHASES = (ref_attract, ref_move, ref_train, ref_merge_memory, ref_collisions, ref_score)
 
 
-def reference_simulate(env, cfg, seed):
-    """One run of every walker of cfg, phase by phase and walker by walker."""
-    ids = list(range(cfg.walkers))
+def reference_simulate(env, cfg, seed, walker_ids=None):
+    """One run of cfg's walkers, all of them by default, phase by phase and walker by walker."""
+    ids = list(range(cfg.walkers)) if walker_ids is None else list(walker_ids)
     run = RefRun(
         cfg=cfg,
         env=env,
@@ -214,7 +216,60 @@ def test_simulate_matches_the_reference_on_generated_configs():
             env = build_environment(cfg, seed)
         except GenerationError:  # a geometric graph may stay disconnected after its retries
             assume(False)
-        assert simulate(env, cfg, seed) == reference_simulate(env, cfg, seed)
+        assert simulate(env, [(cfg, seed)]) == [reference_simulate(env, cfg, seed)]
+
+    check()
+
+
+def test_a_batch_matches_each_cell_run_alone():
+    """Generated batches of 1-4 cells on one world that mix jumps, eval_every, walker counts and
+    subsets, elastic and fixed budgets, both architectures and two learner specs, with and
+    without interactions. The batch trains its walkers as shared stacks, and each of its
+    results equals the reference run of that cell alone."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def batches(draw):
+        caveman, classes = draw(st.booleans()), draw(st.integers(2, 4))
+        world = ExperimentConfig(
+            graph=(GraphSpec(kind="caveman", nodes=draw(st.integers(8, 20)), cliques=draw(st.integers(2, classes)))
+                   if caveman else GraphSpec(kind="rgg", nodes=draw(st.integers(8, 20)), radius=0.6, max_retries=20)),
+            data=DataSpec(classes=classes, dims=draw(st.integers(1, 4)), per_class=draw(st.integers(4, 10)),
+                          val_frac=0.25, sep=2.0),
+            partition=PartitionSpec(skew_frac=0.9),
+        )
+        seed, cells = draw(st.integers(0, 3)), []
+        for i in range(draw(st.integers(1, 4))):
+            walkers, jumps = draw(st.integers(1, 4)), draw(st.integers(1, 15))
+            cfg = replace(
+                world,
+                name=f"cell{i}",
+                learner=LearnerSpec(arch=draw(st.sampled_from(["softmax", "mlp"])), hidden=3, batch_size=4,
+                                    **draw(st.sampled_from([{}, {"learning_rate": 0.1, "l2": 0.01}]))),
+                policy=PolicySpec(kind=draw(st.sampled_from([UNIFORM, IMPORTANCE_STATIC, IMPORTANCE_DYNAMIC]))),
+                elastic=ElasticSpec(enabled=draw(st.booleans()), x_max=draw(st.sampled_from([1, 8, 70])), tau1=10.0),
+                iters_per_visit=draw(st.integers(1, 3)),
+                walkers=walkers,
+                memory=MemorySpec(enabled=draw(st.booleans()), schedule=((0, 0.2), (jumps // 2 + 1, 0.5))),
+                attraction=AttractionSpec(enabled=draw(st.booleans()), strength=0.3, base_coeff=0.5, cooldown_max=1),
+                uplink=draw(st.booleans()),
+                jumps=jumps,
+                eval_every=draw(st.integers(1, 4)),
+            )
+            subset = draw(st.none() | st.sets(st.integers(0, walkers - 1), min_size=1).map(sorted))
+            cells.append((cfg, seed) if subset is None else (cfg, seed, subset))
+        return cells
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(cells=batches())
+    def check(cells):
+        try:
+            env = build_environment(*cells[0][:2])
+        except GenerationError:  # a geometric graph may stay disconnected after its retries
+            assume(False)
+        assert simulate(env, cells) == [reference_simulate(env, *cell) for cell in cells]
 
     check()
 
@@ -255,4 +310,4 @@ def test_simulate_matches_the_reference_on_uneven_budgets(name):
     cfg = UNEVEN[name]
     env = build_environment(cfg, 0)
     assert len(set(experiment._visit_budget(env, cfg))) > 2  # unequal steps, or none, within one tick
-    assert simulate(env, cfg, 0) == reference_simulate(env, cfg, 0)
+    assert simulate(env, [(cfg, 0)]) == [reference_simulate(env, cfg, 0)]

@@ -17,13 +17,14 @@ from xlwalk.topology import (
     betweenness,
     gen_connected_caveman,
     gen_rgg,
-    graph_from_json,
     graph_to_json,
     is_connected,
     next_hop_toward,
     default_rgg_radius,
     shortest_path_distances,
 )
+
+from .readers import graph_from_json
 
 
 def graph_from_edges(n, edges):
@@ -369,14 +370,14 @@ class TestDistanceTable:
             return bfs(g, source)
 
         monkeypatch.setattr(topology, "shortest_path_distances", counted)
-        res = simulate(env, cfg, 0)
+        res = simulate(env, [(cfg, 0)])[0]
         assert any(ev["kind"] == "pursuit_start" for ev in res.events)
         assert sources == list(range(env.graph.node_count))
 
     def test_worlds_that_never_steer_never_build_it(self):
         cfg = replace(preset_configs("fig4", 1)[0], jumps=20)
         env = build_environment(cfg, 0)
-        simulate(env, cfg, 0)
+        simulate(env, [(cfg, 0)])
         assert "distances" not in vars(env.graph)
 
 
