@@ -209,7 +209,7 @@ def _stack(arch: str, n_dims: int, n_classes: int, hidden: int, cfg: LearnerSpec
 
 _one_hot_rows = functools.lru_cache(maxsize=16)(np.eye)  # row c: the one-hot target of class c
 
-_pending: list[tuple] | None = None  # the open block's calls, (m, features, labels, k, cfg, draws, out)
+_pending: dict[int, tuple] | None = None  # the open block's calls, (m, features, labels, k, cfg, draws, out), by id(out)
 
 
 class lockstep:
@@ -225,13 +225,13 @@ class lockstep:
         global _pending
         if _pending is not None:
             raise RuntimeError("a lockstep block is already open")
-        _pending = []
+        _pending = {}
 
     def __exit__(self, exc_type, *_) -> None:
         global _pending
         calls, _pending = _pending, None
         if exc_type is None:
-            _train(calls)
+            _train(list(calls.values()))
 
 
 def _train(calls: list[tuple]) -> None:
@@ -287,7 +287,7 @@ def sgd_steps(
         raise ValueError("cannot train on an empty sample set")
     if k < 1:
         raise ConfigError("need at least one SGD step")
-    if _pending and any(m.theta is call[-1] for call in _pending):
+    if _pending and id(m.theta) in _pending:  # the queue holds each out alive, so its id is not reused
         raise RuntimeError("this model is still waiting to train in the open lockstep block")
     features, n, batch = np.asarray(features, dtype=np.float64), features.shape[0], cfg.batch_size
     draws = [rng.integers(0, n, size=min(_CHUNK_STEPS, k - done) * batch).reshape(-1, batch)
@@ -295,10 +295,10 @@ def sgd_steps(
     call = (m, features, labels, k, cfg, draws, np.empty(m.theta.size))
     call[-1].fill(np.nan)
     if _pending is not None:
-        _pending.append(call)
+        _pending[id(call[-1])] = call
     else:
         with lockstep():  # outside a block, a block of one
-            _pending.append(call)
+            _pending[id(call[-1])] = call
     return ModelParams(m.arch, m.n_dims, m.n_classes, m.hidden, call[-1])
 
 

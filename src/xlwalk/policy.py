@@ -8,16 +8,17 @@ confined row keeps only the neighbors in the node's own clique. The elastic
 rule converts a node quality score into an SGD budget per visit.
 
 Every policy is one `TransitionPolicy`: the chain's transition matrix in
-compressed sparse rows. This module alone reads that layout; other modules
-build policies with `TransitionPolicy.from_rows`, read-only so that walkers
-can share them, and use `row` and `next_node`.
+compressed sparse rows, read-only so that walkers share it. This module alone
+reads that layout; other modules use `row` and `next_node`. Tables are built
+from the graph's CSR view (`Graph.csr`) in whole-array passes over groups of
+equal-length rows, and one row normalizer serves every table, the confinement
+to cliques and the single rows a dynamic walker rebuilds.
 """
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,28 +83,24 @@ class TransitionPolicy:
     """Transition rows in compressed sparse rows (CSR).
 
     Row i is the slice indptr[i]:indptr[i+1] of targets (ascending node ids),
-    probs (summing to 1) and cdf (np.cumsum of that row's probs). Every array
-    is read-only, so the views `row` returns never change.
+    probs (summing to 1) and cdf (np.cumsum of that row's probs), which the
+    table computes itself. It marks all four arrays read-only, the given ones
+    included, so the views `row` returns never change.
     """
 
     kind: str
     indptr: np.ndarray
     targets: np.ndarray
     probs: np.ndarray
-    cdf: np.ndarray
+    cdf: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_rows(
-        cls, kind: str, rows: Iterable[tuple[np.ndarray, np.ndarray]]
-    ) -> TransitionPolicy:
-        """Pack one (targets ascending, probs) row per node, node 0 first."""
-        targets, probs = zip(*rows)
-        indptr = np.cumsum([0] + [t.size for t in targets], dtype=np.int64)
-        cdf = np.concatenate([np.cumsum(p) for p in probs])
-        arrays = (indptr, np.concatenate(targets).astype(np.int64), np.concatenate(probs), cdf)
-        for a in arrays:
+    def __post_init__(self):
+        cdf = np.empty_like(self.probs)
+        for _, at in _row_blocks(self.indptr):
+            cdf[at] = np.cumsum(self.probs[at], axis=1)
+        object.__setattr__(self, "cdf", cdf)
+        for a in (self.indptr, self.targets, self.probs, self.cdf):
             a.flags.writeable = False
-        return cls(kind, *arrays)
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node], self.indptr[node + 1]
@@ -150,6 +147,33 @@ def accuracy_scaled_alpha(accuracy: float, p: PolicySpec) -> float:
     return min(max(alpha, p.alpha_min), p.alpha_max)
 
 
+def _row_blocks(indptr: np.ndarray):
+    """Each group of equal-length rows: their ids, and their (rows, length) positions in the flat arrays."""
+    lengths = np.diff(indptr)
+    for d in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == d)
+        yield rows, indptr[rows, None] + np.arange(d)
+
+
+def _normalize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a (rows, d) block divided by its sum, or 1 / d throughout where that sum
+    is not positive; and which rows fell back to uniform that way."""
+    total = block.sum(axis=1, keepdims=True)
+    fell_back = total <= 0.0
+    probs = np.divide(block, total, out=np.full(block.shape, 1.0 / block.shape[1]), where=~fell_back)
+    return probs, fell_back[:, 0]
+
+
+def _normalize_csr(indptr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of the flat weights normalized, and which rows fell back to uniform."""
+    if (np.diff(indptr) == 0).any():
+        raise ConfigError(f"node {int(np.argmin(np.diff(indptr)))} has no neighbors")
+    probs, fell_back = np.empty(weights.size), np.empty(indptr.size - 1, dtype=bool)
+    for rows, at in _row_blocks(indptr):
+        probs[at], fell_back[rows] = _normalize(weights[at])
+    return probs, fell_back
+
+
 def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Neighbors of node ascending, their shares of the neighborhood's importance,
     and whether the row fell back to uniform because that importance is zero.
@@ -158,16 +182,15 @@ def transition_row(g: Graph, importance: np.ndarray, node: int) -> tuple[np.ndar
     node's neighborhood raises ConfigError, since it would make the row's
     probabilities negative or its total non-positive.
     """
-    nbrs = np.array(g.adjacency[node], dtype=np.int64)
+    indptr, targets = g.csr
+    nbrs = targets[indptr[node]:indptr[node + 1]]
     if nbrs.size == 0:
         raise ConfigError(f"node {node} has no neighbors")
     weights = importance[nbrs]
     if (weights < 0).any():
         raise ConfigError("importance values must be non-negative")
-    total = weights.sum()
-    if total <= 0.0:
-        return nbrs, np.full(nbrs.size, 1.0 / nbrs.size), True
-    return nbrs, weights / total, False
+    probs, fell_back = _normalize(weights[None])
+    return nbrs, probs[0], bool(fell_back[0])
 
 
 def confined_row(
@@ -175,30 +198,43 @@ def confined_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node's row cut to the targets in node's clique and renormalized. The row stays
     compact: a zero-probability target outside the clique could be drawn at u ~ 1."""
-    keep = np.array([g.clique_of[j] == g.clique_of[node] for j in targets.tolist()], dtype=bool)
+    keep = np.asarray(g.clique_of)[targets] == g.clique_of[node]
     if not keep.any():
         raise ConfigError(f"node {node} has no neighbor inside its clique")
-    kept = probs[keep]
-    total = kept.sum()
-    if total <= 0.0:
+    kept, fell_back = _normalize(probs[keep][None])
+    if fell_back[0]:
         logger.warning("node %d confined row had zero mass; using uniform", node)
-        return targets[keep], np.full(kept.size, 1.0 / kept.size)
-    return targets[keep], kept / total
+    return targets[keep], kept[0]
+
+
+def confined_transition(g: Graph, base: TransitionPolicy) -> TransitionPolicy:
+    """Every row of base cut as `confined_row` cuts one, in one masked pass."""
+    clique = np.asarray(g.clique_of)
+    keep = clique[base.targets] == np.repeat(clique, np.diff(base.indptr))
+    indptr = np.concatenate([[0], np.cumsum(keep)])[base.indptr]
+    if (np.diff(indptr) == 0).any():
+        raise ConfigError(f"node {int(np.argmin(np.diff(indptr)))} has no neighbor inside its clique")
+    probs, fell_back = _normalize_csr(indptr, base.probs[keep])
+    for node in np.flatnonzero(fell_back).tolist():
+        logger.warning("node %d confined row had zero mass; using uniform", node)
+    return TransitionPolicy(base.kind, indptr, base.targets[keep], probs)
 
 
 def build_transition(g: Graph, importance: np.ndarray, kind: str = IMPORTANCE_STATIC) -> TransitionPolicy:
     """Rows proportional to neighbor importance; all-zero rows fall back to uniform."""
-    importance = np.asarray(importance, dtype=np.float64)
-    rows = [transition_row(g, importance, i) for i in range(g.node_count)]
-    fallbacks = sum(fell_back for _, _, fell_back in rows)
-    if fallbacks:
-        logger.warning("%d zero-importance neighborhood(s) fell back to uniform rows", fallbacks)
-    return TransitionPolicy.from_rows(kind, ((t, p) for t, p, _ in rows))
+    indptr, targets = g.csr
+    weights = np.asarray(importance, dtype=np.float64)[targets]
+    if (weights < 0).any():
+        raise ConfigError("importance values must be non-negative")
+    probs, fell_back = _normalize_csr(indptr, weights)
+    if fell_back.any():
+        logger.warning("%d zero-importance neighborhood(s) fell back to uniform rows", fell_back.sum())
+    return TransitionPolicy(kind, indptr, targets, probs)
 
 
 def uniform_transition(g: Graph) -> TransitionPolicy:
-    nbrs = [np.array(adj, dtype=np.int64) for adj in g.adjacency]
-    return TransitionPolicy.from_rows(UNIFORM, ((t, np.full(t.size, 1.0 / t.size)) for t in nbrs))
+    indptr, targets = g.csr
+    return TransitionPolicy(UNIFORM, indptr, targets, _normalize_csr(indptr, np.ones(targets.size))[0])
 
 
 def mh_transition(g: Graph) -> TransitionPolicy:
@@ -206,21 +242,17 @@ def mh_transition(g: Graph) -> TransitionPolicy:
 
     The resulting chain has the uniform distribution as its stationary law.
     """
-    rows = []
-    for i in range(g.node_count):
-        deg_i = g.degree(i)
-        ids = sorted(list(g.adjacency[i]) + [i])
-        row = np.empty(len(ids))
-        self_mass = 1.0
-        for pos, j in enumerate(ids):
-            if j == i:
-                continue
-            p = min(1.0 / deg_i, 1.0 / g.degree(j))
-            row[pos] = p
-            self_mass -= p
-        row[ids.index(i)] = max(self_mass, 0.0)  # clamp float dust on regular graphs
-        rows.append((np.array(ids, dtype=np.int64), row))
-    return TransitionPolicy.from_rows(MH, rows)
+    indptr, targets = g.csr
+    n, degree = g.node_count, np.diff(indptr)
+    nodes = np.repeat(np.arange(n), degree)
+    moves = np.minimum(1.0 / degree[nodes], 1.0 / degree[targets])
+    stay = np.ones(n)
+    for k in range(degree.max()):  # what the neighbors leave of 1.0, subtracted in ascending order
+        stay[degree > k] -= moves[indptr[:-1][degree > k] + k]
+    nodes, targets = np.append(nodes, range(n)), np.append(targets, range(n))
+    order = np.lexsort((targets, nodes))
+    probs = np.append(moves, np.maximum(stay, 0.0))  # clamp float dust on regular graphs
+    return TransitionPolicy(MH, indptr + np.arange(n + 1), targets[order], probs[order])
 
 
 def data_quality(data_frac: float, label_frac: float, tau2: float = 0.4) -> float:

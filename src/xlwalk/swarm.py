@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .learner import weighted_average
-from .policy import MH, TransitionPolicy, confined_row
+from .policy import MH, TransitionPolicy, confined_transition
 from .topology import Graph, shortest_path_distances  # noqa: F401 (unused; perfbench's tracer checks it)
 from .walker import WalkerState
 
@@ -182,6 +182,4 @@ def clique_confined_policy(g: Graph, base: TransitionPolicy) -> TransitionPolicy
         raise ConfigError("confinement requires a graph with cliques")
     if base.kind == MH:
         raise ConfigError("confinement does not support rows with lazy self-loops")
-    return TransitionPolicy.from_rows(
-        base.kind, (confined_row(g, i, *base.row(i)) for i in range(g.node_count))
-    )
+    return confined_transition(g, base)

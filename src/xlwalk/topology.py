@@ -4,11 +4,13 @@ Provides two generators (connected caveman and random geometric graph),
 exact, order-independent betweenness centrality computed on integers, and a
 shortest-path steering primitive. Graphs are immutable once built; node ids
 are consecutive integers starting at 0 and every adjacency list is sorted
-ascending.
+ascending. `Graph.csr` views the lists as two flat read-only arrays, from
+which the transition tables are built.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Iterable
@@ -45,6 +47,15 @@ class Graph:
         if self.clique_of is None:
             raise ConfigError("graph has no clique structure")
         return [i for i, c in enumerate(self.clique_of) if c == clique]
+
+    @functools.cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as read-only (indptr, targets), built on first use: node i's
+        neighbors, ascending, are targets[indptr[i]:indptr[i + 1]]."""
+        indptr = np.cumsum([0, *map(len, self.adjacency)], dtype=np.int64)
+        targets = np.fromiter(itertools.chain.from_iterable(self.adjacency), np.int64, indptr[-1])
+        indptr.flags.writeable = targets.flags.writeable = False
+        return indptr, targets
 
     @functools.cached_property
     def distances(self) -> tuple[list[int], ...]:

@@ -114,7 +114,7 @@ def test_criterion_1_unit_oracles():
     for _ in range(10):
         n = int(rng.integers(4, 13))
         g = random_connected_graph(n, 0.5, rng)
-        mat = policy_matrix(mh_transition(g), n)
+        mat = policy_matrix(mh_transition(g))
         pi = np.full(n, 1.0 / n)
         worst = max(worst, float(np.abs(pi @ mat - pi).max()))
     assert worst < 1e-12

@@ -13,11 +13,13 @@ import pytest
 import xlwalk
 from xlwalk.cli import _write_outputs, build_parser, main
 from xlwalk import experiment
+from xlwalk.errors import GenerationError
 from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_environment
 from xlwalk.topology import graph_to_json
 
 from .readers import graph_from_json, load_dataset
 from .test_experiment import SPEC_RULES, reference_summarize
+from .test_simulate_reference import configs as generated_configs
 
 
 SMALL_CONFIG = {
@@ -571,6 +573,34 @@ def test_run_never_ends_in_a_traceback(tmp_path):
         assert code in (0, 1)
         if code == 1:
             assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+    check()
+
+
+def test_run_writes_generated_configs_that_report_reproduces(tmp_path):
+    """Generated small configs of 1-2 seeds, written to disk: `run --config` exits 0 and writes the
+    trio, and `report --in` rewrites summary.csv byte for byte."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    path, out = tmp_path / "config.json", tmp_path / "out"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cfg=generated_configs(), seeds=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+    def check(cfg, seeds):
+        for seed in seeds:
+            try:
+                experiment.build_graph(cfg.graph, seed)
+            except GenerationError:  # a geometric graph may stay disconnected after its retries
+                assume(False)
+        path.write_text(json.dumps(dict(cfg.to_dict(), seeds=seeds)))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = (out / "summary.csv").read_bytes()
+        assert (out / "events.jsonl").stat().st_size and (out / "metrics.csv").stat().st_size and summary
+        (out / "summary.csv").unlink()
+        assert main(["report", "--in", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == summary
 
     check()
 

@@ -539,12 +539,13 @@ class TestVisitBudget:
 
 
 class TestDynamicModeWork:
-    """Dynamic mode evaluates each walker once per jump and builds one row per walker."""
+    """Dynamic mode evaluates each walker once per jump and builds one row per walker;
+    static mode builds one table and no single row."""
 
     @pytest.mark.parametrize("eval_every", [1, 3])
     @pytest.mark.parametrize("kind", [IMPORTANCE_DYNAMIC, IMPORTANCE_STATIC])
     def test_evaluate_and_row_counts(self, monkeypatch, kind, eval_every):
-        counts = {"evaluate": 0, "rows": 0}
+        counts = {"evaluate": 0, "rows": 0, "tables": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -554,14 +555,15 @@ class TestDynamicModeWork:
 
         monkeypatch.setattr("xlwalk.experiment.evaluate", counted("evaluate", learner.evaluate))
         monkeypatch.setattr(policy, "transition_row", counted("rows", policy.transition_row))
+        monkeypatch.setattr(policy, "build_transition", counted("tables", policy.build_transition))
         cfg = small_config(policy=PolicySpec(kind=kind), walkers=2, jumps=10, eval_every=eval_every)
         env = build_environment(cfg, seed=0)
-        counts.update(evaluate=0, rows=0)
+        counts.update(evaluate=0, rows=0, tables=0)
         simulate(env, [(cfg, 0)])
         if kind == IMPORTANCE_DYNAMIC:
-            assert counts == {"evaluate": 2 * (10 + 1), "rows": 2 * (10 + 1)}
+            assert counts == {"evaluate": 2 * (10 + 1), "rows": 2 * (10 + 1), "tables": 0}
         else:
-            assert counts == {"evaluate": 2 * (1 + 10 // eval_every), "rows": env.graph.node_count}
+            assert counts == {"evaluate": 2 * (1 + 10 // eval_every), "rows": 0, "tables": 1}
 
     @pytest.mark.parametrize("confine", [False, True])
     def test_sampled_rows_match_full_build(self, monkeypatch, confine):
@@ -730,7 +732,7 @@ class TestRunVisitLaw:
         start = experiment._initial_walkers(env, cfg, 0, [0])[0].position
         # confined, the chain is irreducible on the start clique alone
         nodes = g.clique_members(g.clique_of[start]) if confine else list(range(g.node_count))
-        mat = policy_matrix(experiment._base_policy(env, cfg), g.node_count)[np.ix_(nodes, nodes)]
+        mat = policy_matrix(experiment._base_policy(env, cfg))[np.ix_(nodes, nodes)]
         pi, bound = chain_law_bound(mat, nodes.index(start), self.STEPS)
 
         res = simulate(env, [(cfg, 0)])[0]

@@ -290,6 +290,13 @@ class TestLockstepMatchesReference:
             with lockstep():
                 queued = sgd_steps(m, x, y, k, cfg, np.random.default_rng(0))
                 sgd_steps(queued, x, y, k, cfg, np.random.default_rng(1))
+        cfg, walkers = lockstep_walkers("softmax", 32, 4, 0.0)
+        with pytest.raises(RuntimeError, match="still waiting to train"):
+            with lockstep():
+                queued = [sgd_steps(m, x, y, k, cfg, np.random.default_rng(s)) for m, x, y, k, s in walkers]
+                m, x, y, k, _ = walkers[16]
+                sgd_steps(m, x, y, k, cfg, np.random.default_rng(99))  # an input is not queued: it may train again
+                sgd_steps(queued[16], x, y, k, cfg, np.random.default_rng(99))
         with pytest.raises(RuntimeError):
             with lockstep():
                 with lockstep():

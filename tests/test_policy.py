@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from xlwalk.errors import ConfigError
+from xlwalk import policy
+from xlwalk.errors import ConfigError, GenerationError
 from xlwalk.policy import (
     ElasticSpec,
     PolicySpec,
@@ -15,16 +18,17 @@ from xlwalk.policy import (
     validate_policy,
 )
 from xlwalk.swarm import clique_confined_policy
-from xlwalk.topology import gen_connected_caveman, gen_rgg
+from xlwalk.topology import default_rgg_radius, gen_connected_caveman, gen_rgg
 
+from . import reference_tables as reference
 from .test_topology import graph_from_edges, random_connected_graph
 
 
-def policy_matrix(pol, n):
+def policy_matrix(pol):
+    """The table as a dense transition matrix: one scatter of its CSR arrays."""
+    n = pol.indptr.size - 1
     mat = np.zeros((n, n))
-    for i in range(n):
-        targets, probs = pol.row(i)
-        mat[i, targets] = probs
+    mat[np.repeat(np.arange(n), np.diff(pol.indptr)), pol.targets] = pol.probs
     return mat
 
 
@@ -160,7 +164,7 @@ class TestMetropolisHastings:
         for _ in range(10):
             n = int(rng.integers(4, 13))
             g = random_connected_graph(n, 0.45, rng)
-            mat = policy_matrix(mh_transition(g), n)
+            mat = policy_matrix(mh_transition(g))
             pi = np.full(n, 1.0 / n)
             assert np.abs(pi @ mat - pi).max() < 1e-12
 
@@ -265,3 +269,132 @@ class TestReadOnlyTable:
         pol = uniform_transition(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
         with pytest.raises(ValueError, match="row 0 has 3 targets, got %d running sums" % size):
             pol.next_node(0, 0.5, np.linspace(0.0, 1.0, size))
+
+
+def stationary(mat):
+    """The eigenvector of mat.T for the eigenvalue nearest 1, scaled to sum to 1."""
+    vals, vecs = np.linalg.eig(mat.T)
+    pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return pi / pi.sum()
+
+
+def neighbor_sums(g, values, same_clique=False):
+    """Per node, the sum of values over its neighbors, or over its neighbors in its own clique."""
+    return np.array([sum(values[j] for j in g.adjacency[i]
+                         if not same_clique or g.clique_of[j] == g.clique_of[i]) for i in range(g.node_count)])
+
+
+class TestStationaryLaw:
+    """Every static chain here is reversible, so its stationary law has a closed form: an
+    importance row is P(i->j) = imp_j / S_i with S_i the importance summed over i's neighbors,
+    so pi_i * P(i->j) = imp_i * imp_j / Z is symmetric and pi_i is proportional to imp_i * S_i.
+    Uniform rows are the case imp = 1 (pi proportional to degree), MH rows have the uniform law,
+    and confined rows take S_i over the same clique, each clique a closed class of its own.
+    Each law is checked against the eigenvector of the table's dense matrix."""
+
+    WORLDS = {"rgg100": lambda: gen_rgg(100, default_rgg_radius(100), 0),
+              "caveman50": lambda: gen_connected_caveman(8, 50, 0)}
+
+    @staticmethod
+    def importance(g):
+        return np.random.default_rng(g.node_count).uniform(0.1, 1.0, g.node_count)  # no row falls back
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("kind", ["uniform", "mh", "importance"])
+    def test_closed_form_law(self, world, kind):
+        g = self.WORLDS[world]()
+        imp = self.importance(g) if kind == "importance" else np.ones(g.node_count)
+        pol = {"uniform": uniform_transition, "mh": mh_transition}.get(kind, lambda g: build_transition(g, imp))(g)
+        law = np.ones(g.node_count) if kind == "mh" else imp * neighbor_sums(g, imp)
+        assert np.abs(stationary(policy_matrix(pol)) - law / law.sum()).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["uniform", "importance"])
+    def test_confined_law_within_each_clique(self, kind):
+        g = self.WORLDS["caveman50"]()
+        imp = self.importance(g) if kind == "importance" else np.ones(g.node_count)
+        base = build_transition(g, imp) if kind == "importance" else uniform_transition(g)
+        mat, law = policy_matrix(clique_confined_policy(g, base)), imp * neighbor_sums(g, imp, same_clique=True)
+        for clique in range(g.n_cliques):
+            members = g.clique_members(clique)
+            outside = [i for i in range(g.node_count) if i not in members]
+            assert not mat[np.ix_(members, outside)].any()  # a closed class
+            within = law[members] / law[members].sum()
+            assert np.abs(stationary(mat[np.ix_(members, members)]) - within).max() < 1e-12
+
+
+def table_bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def built_with_warnings(caplog, build, *args):
+    """The bytes of the table build(*args) returns, and the warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="xlwalk.policy"):
+        out = build(*args)
+    arrays = (out.indptr, out.targets, out.probs, out.cdf) if hasattr(out, "cdf") else out
+    return table_bytes(arrays), [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def assert_tables_match_the_reference(g, importance, caplog):
+    """Every table of g, and its confinement where g has cliques, equals the per-row reference
+    byte for byte and logs the same warnings; so does every single row a dynamic walker builds."""
+    for kind, build, build_reference, args in [
+        ("uniform", uniform_transition, reference.uniform_transition, ()),
+        ("mh", mh_transition, reference.mh_transition, ()),
+        ("importance", build_transition, reference.build_transition, (importance,)),
+    ]:
+        got, want = built_with_warnings(caplog, build, g, *args), built_with_warnings(caplog, build_reference, g, *args)
+        assert got == want, kind
+        if g.clique_of is not None and kind != "mh":
+            base, base_reference = build(g, *args), build_reference(g, *args)
+            got = built_with_warnings(caplog, clique_confined_policy, g, base)
+            assert got == built_with_warnings(caplog, reference.confined_transition, g, base_reference), kind
+    for node in range(g.node_count):
+        targets, probs, fell_back = row = policy.transition_row(g, importance, node)
+        want = reference.transition_row(g, importance, node)
+        assert table_bytes(row[:2]) == table_bytes(want[:2]) and fell_back == want[2]
+        if g.clique_of is not None:
+            got = built_with_warnings(caplog, policy.confined_row, g, node, targets, probs)
+            assert got == built_with_warnings(caplog, reference.confined_row, g, node, *want[:2])
+
+
+def importance_with_zeros(g, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(g.node_count) < zero_share, 0.0, rng.random(g.node_count))
+
+
+class TestTablesMatchThePerRowReference:
+    """The whole-array builders against the per-row loops they replaced (tests/reference_tables.py).
+    Rows as wide as those of the larger geometric worlds expose a row sum taken in another order."""
+
+    def test_generated_graphs(self, caplog):
+        pytest.importorskip("hypothesis")
+        from hypothesis import assume, given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def worlds(draw):
+            seed = draw(st.integers(0, 2 ** 16))
+            if draw(st.booleans()):
+                cliques = draw(st.integers(1, 8))
+                g = gen_connected_caveman(cliques, draw(st.integers(2 * cliques, 70)), seed)
+            else:
+                n = draw(st.integers(2, 70))
+                try:
+                    g = gen_rgg(n, draw(st.sampled_from([1.0, 1.5, 3.0])) * default_rgg_radius(n), seed, 20)
+                except GenerationError:
+                    assume(False)
+            return g, importance_with_zeros(g, seed, draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])))
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(world=worlds())
+        def check(world):
+            assert_tables_match_the_reference(*world, caplog)
+
+        check()
+
+    @pytest.mark.parametrize("n", [150, 600, 1000])
+    def test_wide_geometric_worlds(self, caplog, n):
+        g = gen_rgg(n, default_rgg_radius(n), 0)
+        for zero_share in (0.0, 0.6):
+            assert_tables_match_the_reference(g, importance_with_zeros(g, n, zero_share), caplog)

@@ -167,16 +167,14 @@ def reference_simulate(env, cfg, seed, walker_ids=None):
     return RunResult(run_id=run.run_id, series=cfg.series_label, seed=seed, events=run.events, metrics=metrics)
 
 
-def test_simulate_matches_the_reference_on_generated_configs():
-    """Generated small worlds over every knob that makes walkers interact or train unevenly:
-    policy kind, elastic budgets, memory, attraction, rendezvous, uplink, confinement, start
-    mode, eval_every and arch. Both simulators give equal events and metric rows."""
-    pytest.importorskip("hypothesis")
-    from hypothesis import assume, given, settings
+def configs():
+    """A hypothesis strategy of small worlds over every knob that makes walkers interact or
+    train unevenly: policy kind, elastic budgets, memory, attraction, rendezvous, uplink,
+    confinement, start mode, eval_every and arch. Imports hypothesis when called."""
     from hypothesis import strategies as st
 
     @st.composite
-    def configs(draw):
+    def config(draw):
         caveman = draw(st.booleans())
         nodes, classes = draw(st.integers(8, 30)), draw(st.integers(2, 4))
         confine = caveman and draw(st.booleans())
@@ -208,6 +206,15 @@ def test_simulate_matches_the_reference_on_generated_configs():
             jumps=jumps,
             eval_every=draw(st.integers(1, 5)),
         )
+
+    return config()
+
+
+def test_simulate_matches_the_reference_on_generated_configs():
+    """Both simulators give equal events and metric rows on generated configs."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(cfg=configs(), seed=st.integers(0, 3))

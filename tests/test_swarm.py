@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xlwalk import policy
 from xlwalk.errors import ConfigError
 from xlwalk.learner import ModelParams, init_model
-from xlwalk.policy import mh_transition, uniform_transition, validate_policy
+from xlwalk.policy import build_transition, mh_transition, uniform_transition, validate_policy
 from xlwalk.swarm import (
     AttractionSpec,
     attraction_probability,
@@ -20,7 +21,7 @@ from xlwalk.swarm import (
     steer_target,
     tick_attraction,
 )
-from xlwalk.topology import gen_connected_caveman, next_hop_toward, shortest_path_distances
+from xlwalk.topology import Graph, gen_connected_caveman, next_hop_toward, shortest_path_distances
 from xlwalk.walker import WalkerState
 
 
@@ -297,6 +298,27 @@ class TestCliqueConfined:
         g = gen_connected_caveman(3, 9, 0)
         with pytest.raises(ConfigError):
             clique_confined_policy(g, mh_transition(g))
+
+    def test_a_row_with_no_mass_inside_its_clique_turns_uniform_over_the_clique(self, caplog):
+        g = gen_connected_caveman(2, 6, 0)  # cliques {0, 1, 2} and {3, 4, 5}, one bridge each way
+        imp = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])  # a clique-0 node sends all its mass across a bridge
+        bridged = [i for i in range(3) if any(g.clique_of[j] for j in g.adjacency[i])]
+        with caplog.at_level("WARNING"):
+            pol = clique_confined_policy(g, build_transition(g, imp))
+            rows = [policy.confined_row(g, i, *build_transition(g, imp).row(i)) for i in bridged]
+        warned = [r.getMessage() for r in caplog.records if "confined row" in r.getMessage()]
+        assert bridged and warned == 2 * [f"node {i} confined row had zero mass; using uniform" for i in bridged]
+        for i, row in zip(bridged, rows):
+            inside = [j for j in g.adjacency[i] if g.clique_of[j] == 0]
+            for targets, probs in (pol.row(i), row):
+                assert targets.tolist() == inside and probs.tolist() == [1.0 / len(inside)] * len(inside)
+
+    def test_a_node_with_no_neighbor_in_its_clique_is_rejected(self):
+        g = Graph(node_count=3, adjacency=((1,), (0, 2), (1,)), clique_of=(0, 0, 1))  # node 2 sees only clique 0
+        with pytest.raises(ConfigError, match="node 2 has no neighbor inside its clique"):
+            clique_confined_policy(g, uniform_transition(g))
+        with pytest.raises(ConfigError, match="node 2 has no neighbor inside its clique"):
+            policy.confined_row(g, 2, *uniform_transition(g).row(2))
 
     def test_nearest_clique_node(self):
         g = gen_connected_caveman(4, 16, 0)

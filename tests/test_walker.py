@@ -51,9 +51,7 @@ def fresh_walker(position=0, dims=4, classes=3, seed=0, **fields):
 
 class TestStep:
     def test_deterministic_row(self):
-        pol = TransitionPolicy.from_rows(
-            "uniform", [(np.array([1]), np.array([1.0])), (np.array([0]), np.array([1.0]))]
-        )
+        pol = TransitionPolicy("uniform", np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
         w = fresh_walker(position=0, rng=FixedRng(0.999), policy=pol)
         before = dict(vars(w))
         step(w)
@@ -63,7 +61,7 @@ class TestStep:
     def test_inverse_cdf_ascending_order(self):
         # uniform row over {a=1, b=2}: draw 0.3 lands in the first bucket, a draw on the
         # boundary 0.5 in the second
-        pol = TransitionPolicy.from_rows("uniform", [(np.array([1, 2]), np.array([0.5, 0.5]))])
+        pol = TransitionPolicy("uniform", np.array([0, 2]), np.array([1, 2]), np.array([0.5, 0.5]))
         for u, position in [(0.3, 1), (0.5, 2), (0.7, 2)]:
             w = fresh_walker(0, rng=FixedRng(u), policy=pol)
             step(w)
@@ -71,9 +69,8 @@ class TestStep:
 
     def test_draw_past_a_rounded_cdf_stays_in_its_row(self):
         # ten shares of 0.1 sum to 1 - 2**-53, so the largest draw below 1 passes the cdf's end
-        pol = TransitionPolicy.from_rows(
-            "uniform", [(np.arange(1, 11), np.full(10, 0.1)), (np.array([0]), np.array([1.0]))]
-        )
+        pol = TransitionPolicy("uniform", np.array([0, 10, 11]), np.array([*range(1, 11), 0]),
+                               np.array([0.1] * 10 + [1.0]))
         u = np.nextafter(1.0, 0.0)
         assert pol.row(0)[1].cumsum()[-1] <= u
         w = fresh_walker(0, rng=FixedRng(u), policy=pol)
@@ -337,7 +334,7 @@ class TestChainLaw:
     def test_visit_frequencies_match_stationary_law(self, name):
         pol, nodes = chain_law_case(name)
         n = len(nodes)
-        mat = policy_matrix(pol, max(nodes) + 1)[np.ix_(nodes, nodes)]
+        mat = policy_matrix(pol)[np.ix_(nodes, nodes)]
         assert np.allclose(mat.sum(axis=1), 1.0)
         vals, vecs = np.linalg.eig(mat.T)
         pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
