@@ -129,6 +129,8 @@ def _cmd_report(args) -> int:
         if events_path.exists():
             events = [json.loads(line) for line in events_path.read_text().splitlines()]
         records = metrics_from_csv(metrics_path.read_text(), events)
+    except ConfigError:  # metrics.csv disagrees with events.jsonl: the message says so plainly
+        raise
     except (KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed run outputs under {args.in_dir}: {exc!r}") from None
     summary = summarize(records)
@@ -193,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-config", action="store_true", help="print the full configs and exit")
     p.set_defaults(func=_cmd_preset)
 
-    p = sub.add_parser("report", help="rebuild summary.csv from metrics.csv and events.jsonl")
+    p = sub.add_parser("report", help="check metrics.csv against the visits in events.jsonl, "
+                                      "then rebuild summary.csv")
     p.add_argument("--in", dest="in_dir", required=True)
     p.set_defaults(func=_cmd_report)
 

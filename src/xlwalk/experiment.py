@@ -12,12 +12,14 @@ record per cell, scores each at jump 0, and then advances them together,
 jump after jump, through the functions of `PHASES`, in this fixed order:
 `attract` (pursuit triggers), `move` (ascending walker id), `train` (local
 SGD), `merge_memory`, `collisions` (co-location, then rendezvous, then
-uplink) and `score` (validation scores, the dynamic perception refresh and
-the metric rows). Each phase runs over every live run before the next
-begins, and the `train` phases of a jump share one `learner.lockstep` block,
-so the batch's walkers train as one stack. Each phase reads the jump `t`,
-the run's one clock; a run leaves the batch after its last jump. The
-rendezvous schedule and the event format live in this module alone.
+uplink) and `score` (validation scores, written into the visit events, and
+the dynamic perception refresh). Each phase runs over every live run before
+the next begins, and the `train` phases of a jump share one
+`learner.lockstep` block, so the batch's walkers train as one stack. Each
+phase reads the jump `t`, the run's one clock; a run leaves the batch after
+its last jump. The rendezvous schedule and the event format live in this
+module alone. The events are the one record of a run: `_replay` derives from
+them its metric rows after jump 0 and its collisions.
 """
 from __future__ import annotations
 
@@ -310,8 +312,6 @@ class MetricsRecord:
 @dataclass
 class RunResult:
     run_id: str
-    series: str
-    seed: int
     events: list[dict]
     metrics: MetricsRecord
 
@@ -394,7 +394,7 @@ class Run:
     rng_interaction: np.random.Generator
     budget: list[int]  # SGD steps of one visit, per node
     events: list[dict] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
+    first_rows: list[tuple] = field(default_factory=list)  # jump 0's metric rows, which no event holds
     visits: list[dict] = field(default_factory=list)  # this jump's visit events, in walker order
 
     def ids(self, group: Iterable[int]) -> list[int]:
@@ -413,10 +413,9 @@ class Run:
             self.events.append({"kind": kind, "walkers": self.ids(pair), "run_id": self.run_id, "t": t, **extra})
 
     def result(self) -> RunResult:
-        tally = _collisions_from_events(self.events).get(self.run_id, (0, []))
-        series, ids = self.cfg.series_label, self.ids(range(self.swarm.size))
-        metrics = _metrics_record(series, self.seed, ids, self.rows, tally)
-        return RunResult(run_id=self.run_id, series=series, seed=self.seed, events=self.events, metrics=metrics)
+        rows, tally = _replay(self.events).get(self.run_id, ([], (0, [])))
+        metrics = _metrics_record(self.cfg.series_label, self.seed, self.first_rows + rows, tally)
+        return RunResult(run_id=self.run_id, events=self.events, metrics=metrics)
 
 
 def attract(run: Run, t: int) -> None:
@@ -486,7 +485,7 @@ def collisions(run: Run, t: int) -> None:
 
 
 def score(run: Run, t: int) -> None:
-    """Measure every walker's model; refresh dynamic rows; log metric rows on evaluation jumps.
+    """Measure every walker's model; refresh dynamic rows; log the scores in the visits on evaluation jumps.
 
     Dynamic mode scores every jump, since its next rows depend on the
     accuracy; other modes score every eval_every jumps. Walkers that hold the
@@ -511,7 +510,6 @@ def score(run: Run, t: int) -> None:
                                       env.centrality.normalized, env.graph)
             run.visits[idx]["alpha_inst"] = w.alpha
         if logged:
-            run.rows.append((t, w.id, loss, acc, w.cum_iters))
             run.visits[idx].update(loss=loss, acc=acc)
 
 
@@ -534,9 +532,10 @@ def _start(env: Environment, cfg: ExperimentConfig, seed: int, walker_ids: Itera
         interactions_on=cfg.attraction.enabled and cfg.attraction.base_coeff > 0.0 and len(ids) > 1,
         rng_interaction=interaction_rng(seed),
         budget=_visit_budget(env, cfg),
-        visits=[{} for _ in ids],  # jump 0 has no visits: its scores reach only the rows
+        visits=[{} for _ in ids],  # jump 0 has no visit events: its scores reach only the first rows
     )
     score(run, 0)
+    run.first_rows = [(0, w.id, v["loss"], v["acc"], w.cum_iters) for w, v in zip(run.swarm.walkers, run.visits)]
     return run
 
 
@@ -727,40 +726,47 @@ def summarize(records: list[MetricsRecord]) -> str:
     return out.getvalue()
 
 
-def _collisions_from_events(events: Iterable[dict]) -> dict[str, tuple[int, list[int]]]:
-    """Replay co-location collisions per run id: their count and pair intervals.
+def _replay(events: Iterable[dict]) -> dict[str, tuple[list[tuple], tuple[int, list[int]]]]:
+    """Replay each run id's events: its metric rows after jump 0, and its co-location collisions.
 
-    A pair's interval is the jump of the collision minus the last jump at
-    which both walkers took part in a collide (co-location or uplink) or
-    rendezvous event, or 0 if they never did. This replay is the one
-    definition of the intervals that `simulate` records and `report` rebuilds;
-    a pair's `met_at` stamp in the swarm is the same last jump, which attraction reads.
+    Each visit event with an `acc` gives the row (t, walker_id, loss, acc,
+    cum_iters), cum_iters the walker's running sum of visit `iters`. A pair's
+    collision interval is the jump of the collision minus the last jump at
+    which both walkers took part in a collide or rendezvous event, or 0 if
+    they never did: the `met_at` stamp that attraction reads. `simulate` and
+    `report` both take their rows after jump 0 and their collisions from here.
     """
+    cum: dict[tuple[str, int], int] = {}
     last: dict[tuple[str, int, int], int] = {}
-    out: dict[str, tuple[int, list[int]]] = {}
+    runs: dict[str, tuple[list[tuple], list[int]]] = {}
+    counts: dict[str, int] = {}
     for ev in events:
-        if ev["kind"] not in ("collide", "rendezvous"):
-            continue
-        run_id, t, ids = ev["run_id"], ev["t"], ev["walkers"]
-        keys = [(run_id, min(r, q), max(r, q)) for i, r in enumerate(ids) for q in ids[i + 1:]]
-        if ev.get("trigger") == "colocation":
-            count, intervals = out.get(run_id, (0, []))
-            intervals.extend(t - last.get(key, 0) for key in keys)
-            out[run_id] = (count + 1, intervals)
-        for key in keys:
-            last[key] = t
-    return out
+        run_id, t = ev["run_id"], ev["t"]
+        rows, intervals = runs.setdefault(run_id, ([], []))
+        if ev["kind"] == "visit":
+            key = (run_id, ev["walker_id"])
+            cum[key] = cum.get(key, 0) + ev["iters"]
+            if "acc" in ev:
+                rows.append((t, ev["walker_id"], ev["loss"], ev["acc"], cum[key]))
+        elif ev["kind"] in ("collide", "rendezvous"):
+            ids = ev["walkers"]
+            keys = [(run_id, min(r, q), max(r, q)) for i, r in enumerate(ids) for q in ids[i + 1:]]
+            if ev.get("trigger") == "colocation":
+                counts[run_id] = counts.get(run_id, 0) + 1
+                intervals.extend(t - last.get(key, 0) for key in keys)
+            for key in keys:
+                last[key] = t
+    return {run_id: (rows, (counts.get(run_id, 0), intervals)) for run_id, (rows, intervals) in runs.items()}
 
 
-def _metrics_record(series: str, seed: int, walker_ids: list[int], rows: list[tuple],
-                    collisions: tuple[int, list[int]]) -> MetricsRecord:
+def _metrics_record(series: str, seed: int, rows: list[tuple], collisions: tuple[int, list[int]]) -> MetricsRecord:
     """A run's record; its final accuracy is the walkers' mean at the last evaluated jump."""
     last_t = max(r[0] for r in rows)
     count, intervals = collisions
     return MetricsRecord(
         series=series,
         seed=seed,
-        walker_ids=walker_ids,
+        walker_ids=sorted({r[1] for r in rows}),
         rows=rows,
         collision_count=count,
         collision_intervals=intervals,
@@ -769,22 +775,26 @@ def _metrics_record(series: str, seed: int, walker_ids: list[int], rows: list[tu
 
 
 def metrics_from_csv(text: str, events: Iterable[dict] | None = None) -> list[MetricsRecord]:
-    """Rebuild records from a metrics.csv produced by metrics_to_csv.
+    """Rebuild records, in file order, from a metrics.csv produced by metrics_to_csv.
 
-    metrics.csv holds no collisions: they are replayed from the run's events
-    when given, and left empty otherwise.
+    Without events the CSV rows stand and collisions are empty. With them, only the jump-0 rows
+    come from the CSV, the rest are replayed, and the CSV must be what those records write.
     """
-    collisions = _collisions_from_events(events or [])
-    reader = csv.DictReader(io.StringIO(text))
     grouped: dict[tuple[str, int], list[tuple]] = {}
-    for line in reader:
-        key = (line["series"], int(line["seed"]))
-        grouped.setdefault(key, []).append(
+    for line in csv.DictReader(io.StringIO(text)):
+        grouped.setdefault((line["series"], int(line["seed"])), []).append(
             (int(line["t"]), int(line["walker"]), float(line["loss"]),
              float(line["acc"]), int(line["cum_iters"]))
         )
-    return [
-        _metrics_record(series, seed, sorted({r[1] for r in rows}), rows,
-                        collisions.get(f"{series}:{seed}", (0, [])))
-        for (series, seed), rows in sorted(grouped.items())
-    ]
+    if events is None:
+        return [_metrics_record(series, seed, rows, (0, [])) for (series, seed), rows in grouped.items()]
+    replay = _replay(events)
+    if {f"{series}:{seed}" for series, seed in grouped} != set(replay):
+        raise ConfigError("metrics.csv and events.jsonl hold different runs")
+    records = []
+    for (series, seed), rows in grouped.items():
+        replayed, tally = replay[f"{series}:{seed}"]
+        records.append(_metrics_record(series, seed, [r for r in rows if r[0] == 0] + replayed, tally))
+    if metrics_to_csv(records) != text:
+        raise ConfigError("metrics.csv disagrees with the visit events in events.jsonl")
+    return records

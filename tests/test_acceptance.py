@@ -50,7 +50,7 @@ def run_preset(name: str):
     results = run_many([(cfg, seed) for cfg in configs for seed in cfg.seeds])
     by_series: dict[str, list] = {}
     for res in results:
-        by_series.setdefault(res.series, []).append(res.metrics)
+        by_series.setdefault(res.metrics.series, []).append(res.metrics)
     return by_series
 
 

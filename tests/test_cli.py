@@ -18,7 +18,7 @@ from xlwalk.experiment import DataSpec, ExperimentConfig, GraphSpec, build_envir
 from xlwalk.topology import graph_to_json
 
 from .readers import graph_from_json, load_dataset
-from .test_experiment import SPEC_RULES, reference_summarize
+from .test_experiment import SPEC_RULES
 from .test_simulate_reference import configs as generated_configs
 
 
@@ -445,6 +445,28 @@ def test_memory_with_uplink_artifacts_are_byte_identical(tmp_path, monkeypatch, 
     assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == MEMORY_WITH_UPLINK_DIGESTS
 
 
+def _bump_digit(line: str) -> str:
+    """The metrics.csv line with the last digit of its acc field raised by one, modulo 10."""
+    fields = line.split(",")
+    fields[5] = fields[5][:-1] + str((int(fields[5][-1]) + 1) % 10)
+    return ",".join(fields)
+
+
+def _without_first(lines: list[str], pick) -> list[str]:
+    drop = next(i for i, line in enumerate(lines) if pick(line))
+    return lines[:drop] + lines[drop + 1:]
+
+
+# Edits of one file of a multi-walker run's trio (SMALL_CONFIG with MULTI_WALKER: four walkers,
+# rows every 5 jumps, seeds 0 and 1), each of which makes metrics.csv disagree with events.jsonl.
+TAMPERINGS = {
+    "deleted-metrics-row": ("metrics.csv", lambda lines: lines[:10] + lines[11:]),  # a walker's row at jump 10
+    "changed-acc-digit": ("metrics.csv", lambda lines: lines[:6] + [_bump_digit(lines[6])] + lines[7:]),
+    "dropped-visit-line": ("events.jsonl", lambda lines: _without_first(lines, lambda line: '"acc"' in line)),
+    "removed-run": ("metrics.csv", lambda lines: [line for line in lines if line.split(",")[1] != "1"]),
+}
+
+
 class TestReport:
     def test_rebuilds_summary(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -477,18 +499,33 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == original
 
-    def test_deleted_metrics_row_matches_reference(self, tmp_path):
-        """A run missing one walker at one jump is summarized, as the per-jump reference does."""
-        doc = dict(SMALL_CONFIG, **MULTI_WALKER, eval_every=5)
+    def test_reproduces_summary_of_seeds_out_of_order(self, tmp_path):
+        """report summarizes the runs in file order, which is the order the run summarized them in,
+        so the float sums inside each mean run in the same order."""
+        doc = dict(SMALL_CONFIG, graph={"kind": "caveman", "nodes": 16, "cliques": 4}, walkers=2, jumps=30,
+                   seeds=[5, 0, 3, 1, 4, 2, 7, 6])
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-        lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
-        text = "".join(lines[:10] + lines[11:])
-        (out / "metrics.csv").write_text(text)
+        original = (out / "summary.csv").read_bytes()
         assert main(["report", "--in", str(out)]) == 0
-        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
-        expected = reference_summarize(experiment.metrics_from_csv(text, events))
-        assert (out / "summary.csv").read_text() == expected
+        assert (out / "summary.csv").read_bytes() == original
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
+    def test_outputs_that_disagree_exit_one(self, tmp_path, capsys, tamper):
+        """metrics.csv must hold the runs of events.jsonl and be what their jump-0 rows and replayed
+        visits write; otherwise report exits 1 with a plain message and writes no summary."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, dict(SMALL_CONFIG, **MULTI_WALKER))),
+                     "--out", str(out)]) == 0
+        name, edit = TAMPERINGS[tamper]
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(edit(lines)))
+        (out / "summary.csv").unlink()
+        assert main(["report", "--in", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"} and err["error"] == "ConfigError"
+        assert "events.jsonl" in err["message"] and "malformed" not in err["message"]
+        assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize("name,text", [
         ("events.jsonl", "{not json\n"),

@@ -307,7 +307,7 @@ class TestWorldAtATimeRunner:
     def test_interleaved_worlds_come_back_in_input_order(self, threads):
         cells = world_cells()
         results = run_many(cells, threads=threads)
-        assert [(r.series, r.seed) for r in results] == [(c.series_label, s) for c, s in cells]
+        assert [(r.metrics.series, r.metrics.seed) for r in results] == [(c.series_label, s) for c, s in cells]
         for (cfg, seed), res in zip(cells, results):
             alone = run_single(cfg, seed)
             assert events_equal(res.events, alone.events)
@@ -393,7 +393,7 @@ class TestWorldAtATimeRunner:
         a, b = cells[0][0].graph, cells[1][0].graph
         assert keys == [[(a, 0), (a, 0), (b, 0)], [(a, 1), (a, 1), (b, 1)]]
         assert len(built) == 4
-        assert [(r.series, r.seed) for r in results] == [(c.series_label, s) for c, s in cells]
+        assert [(r.metrics.series, r.metrics.seed) for r in results] == [(c.series_label, s) for c, s in cells]
 
         built.clear()
         run_many(cells[:1] * 3, threads=2)  # one world, fewer worlds than workers
@@ -811,8 +811,8 @@ class TestSweep:
     def test_walker_sweep_shape(self):
         cfg = small_config(jumps=10)
         results = run_sweep(cfg, "walkers", [1, 2], seeds=[0, 1])
-        assert [r.series for r in results] == ["walkers=1"] * 2 + ["walkers=2"] * 2
-        assert [r.seed for r in results] == [0, 1, 0, 1]
+        assert [r.metrics.series for r in results] == ["walkers=1"] * 2 + ["walkers=2"] * 2
+        assert [r.metrics.seed for r in results] == [0, 1, 0, 1]
 
     def test_degenerate_sweep_equals_run_single(self):
         cfg = small_config(jumps=10)
@@ -881,6 +881,13 @@ class TestSummaries:
             assert rec.seed == orig.seed
             assert rec.rows == orig.rows
             assert rec.final_accuracy == orig.final_accuracy
+
+    def test_records_replayed_from_events_equal_the_run_records(self):
+        """With events, the rows after jump 0 and the collisions are replayed, in file order."""
+        results = [run_single(small_config(walkers=3, uplink=True), seed) for seed in (1, 0)]
+        records = [res.metrics for res in results]
+        events = [ev for res in results for ev in res.events]
+        assert metrics_from_csv(metrics_to_csv(records), events) == records
 
 
 def reference_summarize(records):
@@ -992,6 +999,14 @@ class TestSummarizeMatchesReference:
         assert summarize(records) == reference_summarize(records)
 
     def test_simulated_runs(self, records):
+        assert summarize(records) == reference_summarize(records)
+
+    def test_metrics_csv_missing_one_row(self):
+        """A metrics.csv read without events, one walker's row at one jump deleted, is summarized as
+        the per-jump reference does."""
+        cfg = small_config(walkers=4)
+        lines = metrics_to_csv([run_single(cfg, seed).metrics for seed in cfg.seeds]).splitlines(keepends=True)
+        records = metrics_from_csv("".join(lines[:10] + lines[11:]))
         assert summarize(records) == reference_summarize(records)
 
 

@@ -6,7 +6,9 @@ phases, written one walker at a time. It trains with the per-step
 `reference_evaluate`, and it shares with the library only what the phases
 call: the walker, swarm and policy primitives and the run's initial state.
 A generated config runs through both, and the two `RunResult`s, events and
-metric rows, must be equal. A generated batch of cells on one world runs
+metric rows, must be equal. The reference records its metric rows as it
+scores, so the library's rows, replayed from its visit events, are checked
+against rows recorded independently. A generated batch of cells on one world runs
 through `simulate` at once, and each of its results must equal the
 reference run of that cell alone.
 """
@@ -162,9 +164,9 @@ def reference_simulate(env, cfg, seed, walker_ids=None):
     for t in range(1, cfg.jumps + 1):
         for phase in REF_PHASES:
             phase(run, t)
-    tally = experiment._collisions_from_events(run.events).get(run.run_id, (0, []))
-    metrics = experiment._metrics_record(cfg.series_label, seed, ids, run.rows, tally)
-    return RunResult(run_id=run.run_id, series=cfg.series_label, seed=seed, events=run.events, metrics=metrics)
+    _, tally = experiment._replay(run.events).get(run.run_id, ([], (0, [])))
+    metrics = experiment._metrics_record(cfg.series_label, seed, run.rows, tally)
+    return RunResult(run_id=run.run_id, events=run.events, metrics=metrics)
 
 
 def configs():
